@@ -31,14 +31,10 @@ from .assembly import (
     neumann_load,
 )
 from .mesh import (
-    Cell,
-    Face,
     Mesh,
     MeshError,
     MeshFormatError,
     ValidationReport,
-    Vertex,
-    compute_geometry,
     generate_structured_mesh,
     parse_polymesh,
     validate_mesh,

@@ -25,9 +25,9 @@ import numpy as np
 
 from .assembly import (
     BoundaryConditions,
-    _check_dirichlet_coverage,
     assemble_load,
     assemble_matrix,
+    check_dirichlet_coverage,
     dirichlet_lifting,
     reduce_system,
 )
@@ -453,7 +453,7 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
         mesh = source.build(seed=seed)
         tags = case_dirichlet_tagger(case_name)(mesh)
         dofmap = DofMap(mesh, bubbles_enabled=bubbles, dirichlet_faces=tags)
-        _check_dirichlet_coverage(mesh, dofmap)
+        check_dirichlet_coverage(mesh, dofmap)
         mat_zero = assemble_matrix(mesh, dofmap, MaterialParams(mu=mu, lam=0.0, mu1=mu1))
         mat_div = (assemble_matrix(mesh, dofmap, MaterialParams(mu=mu, lam=1.0, mu1=mu1))
                    - mat_zero).tocsr()

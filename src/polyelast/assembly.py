@@ -225,17 +225,15 @@ def dirichlet_lifting(mesh: Mesh, dofmap: DofMap,
     return lifting
 
 
-def _check_dirichlet_coverage(mesh: Mesh, dofmap: DofMap):
+def check_dirichlet_coverage(mesh: Mesh, dofmap: DofMap):
     """Every connected component of the mesh must contain a Dirichlet vertex,
     otherwise the reduced system is singular."""
-    rows = []
-    cols = []
-    for cid in range(mesh.n_cells):
-        verts = mesh.cell_vertices[cid]
-        rows.extend(verts[:-1])
-        cols.extend(verts[1:])
+    # consecutive sorted vertices of each cell connect the whole cell
+    ids = mesh.cell_vertex_ids
+    same_cell = np.diff(np.repeat(np.arange(mesh.n_cells),
+                                  np.diff(mesh.cell_vertex_offsets))) == 0
     graph = sp.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)),
+        (np.ones(int(same_cell.sum())), (ids[:-1][same_cell], ids[1:][same_cell])),
         shape=(mesh.n_vertices, mesh.n_vertices),
     )
     n_comp, labels = connected_components(graph, directed=False)
@@ -275,7 +273,7 @@ def assemble(mesh: Mesh, dofmap: DofMap, material: MaterialParams,
                                                              dtype=bool)):
         raise AssemblyError("DofMap and BoundaryConditions disagree on the "
                             "Dirichlet faces")
-    _check_dirichlet_coverage(mesh, dofmap)
+    check_dirichlet_coverage(mesh, dofmap)
     full_matrix = assemble_matrix(mesh, dofmap, material)
     full_load = assemble_load(mesh, dofmap, bcs, body_force, quad_degree)
     lifting = dirichlet_lifting(mesh, dofmap, bcs)

@@ -3,9 +3,10 @@
 A mesh is described by vertex positions, one oriented vertex loop per face
 (counterclockwise when viewed from the tip of the face normal), and per cell
 a list of faces with orientation signs (+1 when the face normal points out of
-the cell).  All derived geometry (areas, volumes, centroids, convex vertex
-weights, per-face edge data) is computed at construction time and the result
-is immutable.
+the cell).  Topology is stored once as CSR-style (offsets, ids) arrays, and
+all derived geometry (areas, volumes, centroids, convex vertex weights,
+per-face edge data) is computed over all entities at once at construction
+time into read-only arrays.
 
 The POLYMESH text format::
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import TextIO
 
 import numpy as np
@@ -39,37 +41,6 @@ class MeshError(Exception):
 
 class MeshFormatError(MeshError):
     """Malformed POLYMESH input."""
-
-
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    position: np.ndarray
-    on_boundary: bool
-
-
-@dataclass(frozen=True)
-class Face:
-    id: int
-    vertex_loop: np.ndarray
-    normal: np.ndarray
-    area: float
-    centroid: np.ndarray
-    weights: np.ndarray
-    adjacent_cells: tuple
-    on_boundary: bool
-
-
-@dataclass(frozen=True)
-class Cell:
-    id: int
-    faces: np.ndarray
-    face_signs: np.ndarray
-    vertices: np.ndarray
-    volume: float
-    centroid: np.ndarray
-    diameter: float
-    weights: np.ndarray
 
 
 @dataclass
@@ -115,28 +86,144 @@ def _convex_weights(points: np.ndarray, target: np.ndarray, scale: float):
     return None
 
 
-def _polygon_geometry(pos: np.ndarray):
-    """Area, unit normal and centroid of a planar polygon given its loop
-    positions, via fan triangulation from the first vertex."""
-    p0 = pos[0]
-    cross = np.cross(pos[1:-1] - p0, pos[2:] - p0)
-    vec_area = 0.5 * cross.sum(axis=0)
-    area = np.linalg.norm(vec_area)
-    if area == 0.0:
-        return 0.0, np.zeros(3), pos.mean(axis=0), None
-    normal = vec_area / area
-    tri_signed = 0.5 * cross @ normal
-    tri_centroids = (p0 + pos[1:-1] + pos[2:]) / 3.0
-    centroid = (tri_signed[:, None] * tri_centroids).sum(axis=0) / tri_signed.sum()
-    return float(tri_signed.sum()), normal, centroid, tri_signed
+# -- CSR helpers ----------------------------------------------------------------
+
+
+def _csr(rows):
+    """(offsets, ids) of a sequence of integer rows, or of a 2D array."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        return rows.shape[1] * np.arange(len(rows) + 1), rows.astype(int).ravel()
+    rows = [np.asarray(r, dtype=int) for r in rows]
+    offsets = np.zeros(len(rows) + 1, dtype=int)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    return offsets, np.concatenate(rows) if rows else np.zeros(0, int)
+
+
+def _owner(offsets: np.ndarray) -> np.ndarray:
+    """Row of every entry of a CSR array."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
+def _any_per_row(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Rows holding at least one entry where `mask` is set."""
+    return np.bincount(_owner(offsets)[mask], minlength=len(offsets) - 1) > 0
+
+
+def _repeats_per_row(ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Rows holding some id twice."""
+    owner = _owner(offsets)
+    ids = ids[np.lexsort((ids, owner))]
+    dup = (ids[1:] == ids[:-1]) & (owner[1:] == owner[:-1])
+    return np.bincount(owner[1:][dup], minlength=len(offsets) - 1) > 0
+
+
+def _groups(offsets: np.ndarray):
+    """Rows of a CSR array grouped by size: per size, the row ids and the
+    (n_rows, size) positions of their entries."""
+    sizes = np.diff(offsets)
+    for m in np.unique(sizes):
+        rows = np.flatnonzero(sizes == m)
+        yield rows, offsets[rows, None] + np.arange(m)
+
+
+def _row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sum over every row of a CSR array, in the order `ndarray.sum` adds the
+    entries of one row."""
+    out = np.zeros((len(offsets) - 1,) + values.shape[1:])
+    for rows, entries in _groups(offsets):
+        out[rows] = values[entries].sum(axis=1)
+    return out
+
+
+def _rows(flat: np.ndarray, offsets: np.ndarray) -> list:
+    """Per-row views into a CSR array."""
+    sizes = np.diff(offsets)
+    if sizes.size and (sizes == sizes[0]).all():
+        return list(flat.reshape(len(sizes), sizes[0], *flat.shape[1:]))
+    bounds = offsets.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _fan(offsets: np.ndarray, loops: np.ndarray):
+    """Fan triangles (loop[0], loop[t+1], loop[t+2]) of every loop of a CSR
+    array of vertex loops: the (n_tri, 3) vertex ids, the loop of each
+    triangle and the CSR offsets of the triangles per loop."""
+    tri_offsets = offsets - 2 * np.arange(len(offsets))
+    owner = _owner(tri_offsets)
+    first = offsets[owner]
+    t = np.arange(len(owner)) - tri_offsets[owner]
+    tris = np.column_stack([loops[first], loops[first + t + 1], loops[first + t + 2]])
+    return tris, owner, tri_offsets
+
+
+def _diameters(positions: np.ndarray, offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Largest vertex-to-vertex distance of every row of a CSR vertex array."""
+    out = np.zeros(len(offsets) - 1)
+    for rows, entries in _groups(offsets):
+        pos = positions[ids[entries]]
+        diff = pos[:, :, None, :] - pos[:, None, :, :]
+        out[rows] = np.sqrt((diff**2).sum(axis=3)).max(axis=(1, 2))
+    return out
+
+
+def _fill_weights(positions, offsets, ids, weights, centroid, diam, fast, rejected):
+    """Write `_convex_weights` into the rows of `weights` that fail the
+    uniform fast path, in row order up to the first row that an earlier check
+    `rejected` or that has no nonnegative weights; return the mask of such
+    rows without weights."""
+    failed = np.zeros(len(fast), dtype=bool)
+    stop = int(np.argmax(rejected)) if rejected.any() else len(fast)
+    for i in np.flatnonzero(~fast[:stop]):
+        lo, hi = offsets[i], offsets[i + 1]
+        w = _convex_weights(positions[ids[lo:hi]], centroid[i], diam[i])
+        if w is None:
+            failed[i] = True
+            break
+        weights[lo:hi] = w
+    return failed
+
+
+def _weight_defects(positions, offsets, ids, weights, centroid, diam):
+    """Rows whose weights are not convex, and rows whose weights do not
+    reproduce the centroid."""
+    recon = _row_sums(weights[:, None] * positions[ids], offsets)
+    return ((np.minimum.reduceat(weights, offsets[:-1]) < -1e-14)
+            | (np.abs(_row_sums(weights, offsets) - 1.0) > 1e-12),
+            np.linalg.norm(recon - centroid, axis=1) > 1e-12 * np.maximum(diam, 1.0))
+
+
+def _violations(*checks) -> list:
+    """Messages of the failed checks ordered by entity id, then by check;
+    each check is (mask of failing entities, message of an entity id)."""
+    hits = sorted((int(i), k) for k, (bad, _) in enumerate(checks)
+                  for i in np.flatnonzero(bad))
+    return [checks[k][1](i) for i, k in hits]
+
+
+def _raise_first(*checks):
+    """Raise MeshError for the lowest entity id that fails a check."""
+    failed = _violations(*checks)
+    if failed:
+        raise MeshError(failed[0])
 
 
 class Mesh:
-    """Immutable polyhedral mesh with all derived geometry.
+    """Polyhedral mesh with all derived geometry.
+
+    Topology is stored once as CSR-style arrays: face -> vertex loop
+    (`face_loop_offsets`, `face_loop_vertices`), cell -> signed faces
+    (`cell_face_offsets`, `cell_face_ids`, `cell_face_signs`) and cell ->
+    sorted vertices (`cell_vertex_offsets`, `cell_vertex_ids`).  The geometry
+    arrays are read-only, and the per-entity lists (`face_loops`,
+    `face_weights`, `face_edge_*`, `cell_faces`, `cell_signs`,
+    `cell_vertices`, `cell_weights`) hold read-only views into flat arrays.
+    Quadrature points and per-cell operators are memoised on the mesh on
+    first use.
 
     Construction validates basic structure (index ranges, loop/face counts,
-    planarity, positive volumes, convex weights); use :func:`validate_mesh`
-    for the full invariant report.
+    planarity, positive volumes, convex weights) and reports the lowest
+    failing entity id; use :func:`validate_mesh` for the full invariant
+    report.
     """
 
     def __init__(self, positions, face_loops, cell_faces, cell_signs):
@@ -144,210 +231,182 @@ class Mesh:
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise MeshError("positions must be an (n,3) array")
         self.n_vertices = len(self.positions)
-        self.face_loops = [np.asarray(l, dtype=int) for l in face_loops]
-        self.n_faces = len(self.face_loops)
-        self.cell_faces = [np.asarray(f, dtype=int) for f in cell_faces]
-        self.cell_signs = [np.asarray(s, dtype=int) for s in cell_signs]
-        self.n_cells = len(self.cell_faces)
-        self._check_connectivity()
-        self._compute_face_geometry()
-        self._build_adjacency()
-        self._compute_cell_geometry()
+        self.face_loop_offsets, self.face_loop_vertices = _csr(face_loops)
+        self.cell_face_offsets, self.cell_face_ids = _csr(cell_faces)
+        sign_offsets, self.cell_face_signs = _csr(cell_signs)
+        self.n_faces = len(self.face_loop_offsets) - 1
+        self.n_cells = len(self.cell_face_offsets) - 1
+        self._check_connectivity(sign_offsets)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._compute_face_geometry()
+            self._build_adjacency()
+            self._compute_cell_geometry()
         self.h = float(self.cell_diameter.max()) if self.n_cells else 0.0
         self._quad_cache = {}
         self._face_quad_cache = {}
-        for arr in (self.positions, self.face_normal, self.face_area,
-                    self.face_centroid, self.cell_volume, self.cell_centroid,
-                    self.cell_diameter, self.vertex_on_boundary,
-                    self.face_on_boundary):
-            arr.flags.writeable = False
-        for group in (self.face_loops, self.face_weights, self.face_edge_lengths,
-                      self.face_edge_midpoints, self.face_edge_normals,
-                      self.cell_faces, self.cell_signs, self.cell_vertices,
-                      self.cell_weights):
-            for arr in group:
-                arr.flags.writeable = False
+        self._operator_cache = {}
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        f_off, c_off, v_off = (self.face_loop_offsets, self.cell_face_offsets,
+                               self.cell_vertex_offsets)
+        self.face_loops = _rows(self.face_loop_vertices, f_off)
+        self.face_weights = _rows(self._face_weights, f_off)
+        self.face_edge_lengths = _rows(self._edge_lengths, f_off)
+        self.face_edge_midpoints = _rows(self._edge_midpoints, f_off)
+        self.face_edge_normals = _rows(self._edge_normals, f_off)
+        self._face_tri_signed = _rows(self._tri_signed,
+                                      f_off - 2 * np.arange(self.n_faces + 1))
+        self.cell_faces = _rows(self.cell_face_ids, c_off)
+        self.cell_signs = _rows(self.cell_face_signs, c_off)
+        self.cell_vertices = _rows(self.cell_vertex_ids, v_off)
+        self.cell_weights = _rows(self._cell_weights, v_off)
 
     # -- construction ------------------------------------------------------
 
-    def _check_connectivity(self):
-        for fid, loop in enumerate(self.face_loops):
-            if len(loop) < 3:
-                raise MeshError(f"face {fid} has fewer than 3 vertices")
-            if loop.min() < 0 or loop.max() >= self.n_vertices:
-                raise MeshError(f"dangling index: face {fid} references a missing vertex")
-            if len(np.unique(loop)) != len(loop):
-                raise MeshError(f"face {fid} repeats a vertex in its loop")
-        for cid, (faces, signs) in enumerate(zip(self.cell_faces, self.cell_signs)):
-            if len(faces) < 4:
-                raise MeshError(f"cell {cid} has fewer than 4 faces")
-            if len(faces) != len(signs):
-                raise MeshError(f"cell {cid} has mismatched face/sign lists")
-            if faces.min() < 0 or faces.max() >= self.n_faces:
-                raise MeshError(f"dangling index: cell {cid} references a missing face")
-            if not np.all(np.abs(signs) == 1):
-                raise MeshError(f"cell {cid} has an orientation sign not in {{-1,+1}}")
-            if len(np.unique(faces)) != len(faces):
-                raise MeshError(f"cell {cid} repeats a face")
+    def _check_connectivity(self, sign_offsets):
+        f_off, f_ids = self.face_loop_offsets, self.face_loop_vertices
+        _raise_first(
+            (np.diff(f_off) < 3, "face {} has fewer than 3 vertices".format),
+            (_any_per_row((f_ids < 0) | (f_ids >= self.n_vertices), f_off),
+             "dangling index: face {} references a missing vertex".format),
+            (_repeats_per_row(f_ids, f_off), "face {} repeats a vertex in its loop".format),
+        )
+        c_off, c_ids = self.cell_face_offsets, self.cell_face_ids
+        _raise_first(
+            (np.diff(c_off) < 4, "cell {} has fewer than 4 faces".format),
+            (np.diff(c_off) != np.diff(sign_offsets),
+             "cell {} has mismatched face/sign lists".format),
+            (_any_per_row((c_ids < 0) | (c_ids >= self.n_faces), c_off),
+             "dangling index: cell {} references a missing face".format),
+            (_any_per_row(np.abs(self.cell_face_signs) != 1, sign_offsets),
+             "cell {} has an orientation sign not in {{-1,+1}}".format),
+            (_repeats_per_row(c_ids, c_off), "cell {} repeats a face".format),
+        )
 
     def _compute_face_geometry(self):
-        n_f = self.n_faces
-        self.face_normal = np.zeros((n_f, 3))
-        self.face_area = np.zeros(n_f)
-        self.face_centroid = np.zeros((n_f, 3))
-        self.face_weights = []
-        self.face_edge_lengths = []
-        self.face_edge_midpoints = []
-        self.face_edge_normals = []
-        self._face_tri_signed = []
-        for fid, loop in enumerate(self.face_loops):
-            pos = self.positions[loop]
-            diam = _max_pairwise_distance(pos)
-            area, normal, centroid, tri_signed = _polygon_geometry(pos)
-            if area < DEGENERATE_AREA_RTOL * diam**2 or tri_signed is None:
-                raise MeshError(f"degenerate face {fid} (vanishing area)")
-            offset = np.abs((pos - centroid) @ normal).max()
-            if offset > PLANARITY_RTOL * diam:
-                raise MeshError(
-                    f"face {fid} is non-planar (deviation {offset:.3e} exceeds "
-                    f"tolerance {PLANARITY_RTOL * diam:.3e})"
-                )
-            self.face_normal[fid] = normal
-            self.face_area[fid] = area
-            self.face_centroid[fid] = centroid
-            self._face_tri_signed.append(tri_signed)
-            weights = _convex_weights(pos, centroid, diam)
-            if weights is None:
-                raise MeshError(
-                    f"face {fid}: centroid is not a nonnegative combination of "
-                    "its vertices"
-                )
-            self.face_weights.append(weights)
-            nxt = np.roll(pos, -1, axis=0)
-            tangents = nxt - pos
-            lengths = np.linalg.norm(tangents, axis=1)
-            if lengths.min() <= 0.0:
-                raise MeshError(f"face {fid} has a zero-length edge")
-            self.face_edge_lengths.append(lengths)
-            self.face_edge_midpoints.append(0.5 * (pos + nxt))
-            self.face_edge_normals.append(
-                np.cross(tangents / lengths[:, None], normal)
-            )
+        off, loops = self.face_loop_offsets, self.face_loop_vertices
+        sizes = np.diff(off)
+        owner = _owner(off)
+        tris, _, tri_off = _fan(off, loops)
+        a, b, c = (self.positions[tris[:, k]] for k in range(3))
+        cross = np.cross(b - a, c - a)
+        vec_area = 0.5 * _row_sums(cross, tri_off)
+        # rounds as `np.linalg.norm` of a single vector does
+        vec_norm = np.sqrt((vec_area[:, None, :] @ vec_area[:, :, None])[:, 0, 0])
+        normal = vec_area / vec_norm[:, None]
+        tri_signed = np.zeros(len(tris))
+        for rows, entries in _groups(tri_off):  # stacked products add as `cross @ normal`
+            tri_signed[entries] = 0.5 * (cross[entries] @ normal[rows, :, None])[..., 0]
+        area = _row_sums(tri_signed, tri_off)
+        centroid = (_row_sums(tri_signed[:, None] * ((a + b + c) / 3.0), tri_off)
+                    / area[:, None])
+        diam = _diameters(self.positions, off, loops)
+        pos = self.positions[loops]
+        offset = np.maximum.reduceat(
+            np.abs(np.einsum("ij,ij->i", pos - centroid[owner], normal[owner])), off[:-1])
+        tol = PLANARITY_RTOL * diam
+        degenerate = (area < DEGENERATE_AREA_RTOL * diam**2) | (vec_norm == 0.0)
+        non_planar = offset > tol
+        weights = np.repeat(1.0 / sizes, sizes)
+        mean = _row_sums(pos, off) / sizes[:, None]
+        fast = np.linalg.norm(mean - centroid, axis=1) <= 1e-13 * np.maximum(diam, 1e-300)
+        no_weights = _fill_weights(self.positions, off, loops, weights, centroid,
+                                   diam, fast, degenerate | non_planar)
+        nxt = np.arange(1, len(loops) + 1)
+        nxt[off[1:] - 1] = off[:-1]
+        tangents = pos[nxt] - pos
+        lengths = np.linalg.norm(tangents, axis=1)
+        _raise_first(
+            (degenerate, "degenerate face {} (vanishing area)".format),
+            (non_planar, lambda i: f"face {i} is non-planar (deviation {offset[i]:.3e} "
+                                   f"exceeds tolerance {tol[i]:.3e})"),
+            (no_weights, lambda i: f"face {i}: centroid is not a nonnegative "
+                                   "combination of its vertices"),
+            (_any_per_row(lengths <= 0.0, off), "face {} has a zero-length edge".format),
+        )
+        self.face_normal = normal
+        self.face_area = area
+        self.face_centroid = centroid
+        self._tri_signed = tri_signed
+        self._face_weights = weights
+        self._edge_lengths = lengths
+        self._edge_midpoints = 0.5 * (pos + pos[nxt])
+        self._edge_normals = np.cross(tangents / lengths[:, None], normal[owner])
 
     def _build_adjacency(self):
-        adj = [[] for _ in range(self.n_faces)]
-        for cid, (faces, signs) in enumerate(zip(self.cell_faces, self.cell_signs)):
-            for fid, sign in zip(faces, signs):
-                adj[fid].append((cid, int(sign)))
-        for fid, entries in enumerate(adj):
-            if len(entries) == 0:
-                raise MeshError(f"face {fid} is not referenced by any cell")
-            if len(entries) > 2:
-                raise MeshError(f"face {fid} is shared by more than two cells")
-        self.face_cells = adj
-        self.face_on_boundary = np.array([len(a) == 1 for a in adj])
+        count = np.bincount(self.cell_face_ids, minlength=self.n_faces)
+        _raise_first(
+            (count == 0, "face {} is not referenced by any cell".format),
+            (count > 2, "face {} is shared by more than two cells".format),
+        )
+        # the signs of the cells on each face in ascending cell id, 0 if none
+        order = np.argsort(self.cell_face_ids, kind="stable")
+        faces = self.cell_face_ids[order]
+        slot = np.arange(len(order)) - (np.cumsum(count) - count)[faces]
+        self.face_cell_signs = np.zeros((self.n_faces, 2), dtype=int)
+        self.face_cell_signs[faces, slot] = self.cell_face_signs[order]
+        self.face_on_boundary = count == 1
         vb = np.zeros(self.n_vertices, dtype=bool)
-        for fid in np.flatnonzero(self.face_on_boundary):
-            vb[self.face_loops[fid]] = True
+        vb[self.face_loop_vertices[np.repeat(self.face_on_boundary,
+                                             np.diff(self.face_loop_offsets))]] = True
         self.vertex_on_boundary = vb
 
     def _compute_cell_geometry(self):
-        n_c = self.n_cells
-        self.cell_volume = np.zeros(n_c)
-        self.cell_centroid = np.zeros((n_c, 3))
-        self.cell_diameter = np.zeros(n_c)
-        self.cell_vertices = []
-        self.cell_weights = []
-        for cid in range(n_c):
-            verts = np.unique(
-                np.concatenate([self.face_loops[f] for f in self.cell_faces[cid]])
-            )
-            self.cell_vertices.append(verts)
-            pos = self.positions[verts]
-            self.cell_diameter[cid] = _max_pairwise_distance(pos)
-            apex = pos.mean(axis=0)
-            vol = 0.0
-            moment = np.zeros(3)
-            for fid, sign in zip(self.cell_faces[cid], self.cell_signs[cid]):
-                tris = self._oriented_face_triangles(fid, sign)
-                d0 = tris[:, 0] - apex
-                d1 = tris[:, 1] - apex
-                d2 = tris[:, 2] - apex
-                v6 = np.einsum("ij,ij->i", np.cross(d0, d1), d2)
-                vol += v6.sum() / 6.0
-                tet_centroids = (apex + tris.sum(axis=1)) / 4.0
-                moment += (v6[:, None] / 6.0 * tet_centroids).sum(axis=0)
-            if not vol > 0.0:
-                raise MeshError(
-                    f"cell {cid}: signed faces do not enclose positive volume"
-                )
-            self.cell_volume[cid] = vol
-            self.cell_centroid[cid] = moment / vol
-            weights = _convex_weights(pos, self.cell_centroid[cid],
-                                      self.cell_diameter[cid])
-            if weights is None:
-                raise MeshError(
-                    f"cell {cid}: centroid is not a nonnegative combination of "
-                    "its vertices (non-starlike cell)"
-                )
-            self.cell_weights.append(weights)
-
-    def _oriented_face_triangles(self, fid: int, sign: int) -> np.ndarray:
-        """Fan triangles of a face, ordered so their normal is the outward
-        normal of the adjacent cell with orientation `sign`."""
-        loop = self.face_loops[fid]
-        pos = self.positions[loop if sign > 0 else loop[::-1]]
-        m = len(pos)
-        tris = np.empty((m - 2, 3, 3))
-        tris[:, 0] = pos[0]
-        tris[:, 1] = pos[1:-1]
-        tris[:, 2] = pos[2:]
-        return tris
-
-    # -- accessors ----------------------------------------------------------
-
-    def vertex(self, vid: int) -> Vertex:
-        return Vertex(vid, self.positions[vid], bool(self.vertex_on_boundary[vid]))
-
-    def face(self, fid: int) -> Face:
-        return Face(
-            fid,
-            self.face_loops[fid],
-            self.face_normal[fid],
-            float(self.face_area[fid]),
-            self.face_centroid[fid],
-            self.face_weights[fid],
-            tuple(c for c, _ in self.face_cells[fid]),
-            bool(self.face_on_boundary[fid]),
+        positions = self.positions
+        f_off, c_off = self.face_loop_offsets, self.cell_face_offsets
+        faces = self.cell_face_ids
+        entry_cell = _owner(c_off)
+        # the loop of every cell face, reversed where the sign is -1, so that
+        # its fan triangles have the cell's outward normal
+        sizes = np.diff(f_off)[faces]
+        e_off = np.concatenate([[0], np.cumsum(sizes)])
+        start = np.repeat(f_off[faces], sizes)
+        j = np.arange(e_off[-1]) - np.repeat(e_off[:-1], sizes)
+        j = np.where(np.repeat(self.cell_face_signs > 0, sizes), j,
+                     np.repeat(sizes, sizes) - 1 - j)
+        loops = self.face_loop_vertices[start + j]
+        keys = np.unique(np.repeat(entry_cell, sizes) * self.n_vertices + loops)
+        vertex_cell, vertex_ids = np.divmod(keys, self.n_vertices)
+        v_off = np.concatenate([[0], np.cumsum(np.bincount(vertex_cell,
+                                                           minlength=self.n_cells))])
+        nv = np.diff(v_off)
+        diam = _diameters(positions, v_off, vertex_ids)
+        apex = _row_sums(positions[vertex_ids], v_off) / nv[:, None]
+        # sub-tets (fan triangle, vertex mean) of every cell
+        tris, tri_entry, tri_off = _fan(e_off, loops)
+        tri_apex = apex[entry_cell[tri_entry]]
+        corners = positions[tris]
+        d = corners - tri_apex[:, None, :]
+        v6 = np.einsum("ij,ij->i", np.cross(d[:, 0], d[:, 1]), d[:, 2])
+        # summed per face, then over the faces of the cell
+        vol = _row_sums(_row_sums(v6, tri_off) / 6.0, c_off)
+        tet_centroids = (tri_apex + corners.sum(axis=1)) / 4.0
+        moment = _row_sums(_row_sums(v6[:, None] / 6.0 * tet_centroids, tri_off), c_off)
+        centroid = moment / vol[:, None]
+        non_positive = ~(vol > 0.0)
+        weights = np.repeat(1.0 / nv, nv)
+        fast = np.linalg.norm(apex - centroid, axis=1) <= 1e-13 * np.maximum(diam, 1e-300)
+        no_weights = _fill_weights(positions, v_off, vertex_ids, weights, centroid,
+                                   diam, fast, non_positive)
+        _raise_first(
+            (non_positive, "cell {}: signed faces do not enclose positive volume".format),
+            (no_weights, lambda i: f"cell {i}: centroid is not a nonnegative combination "
+                                   "of its vertices (non-starlike cell)"),
         )
-
-    def cell(self, cid: int) -> Cell:
-        return Cell(
-            cid,
-            self.cell_faces[cid],
-            self.cell_signs[cid],
-            self.cell_vertices[cid],
-            float(self.cell_volume[cid]),
-            self.cell_centroid[cid],
-            float(self.cell_diameter[cid]),
-            self.cell_weights[cid],
-        )
-
-    def cell_outward_normal(self, cid: int, fid: int) -> np.ndarray:
-        sign = self.cell_sign_of(cid, fid)
-        return sign * self.face_normal[fid]
-
-    def cell_sign_of(self, cid: int, fid: int) -> int:
-        pos = np.flatnonzero(self.cell_faces[cid] == fid)
-        if pos.size != 1:
-            raise MeshError(f"face {fid} not on cell {cid}")
-        return int(self.cell_signs[cid][pos[0]])
+        self.cell_vertex_offsets = v_off
+        self.cell_vertex_ids = vertex_ids
+        self.cell_volume = vol
+        self.cell_centroid = centroid
+        self.cell_diameter = diam
+        self._cell_weights = weights
+        self._cell_tris = tris
+        self._cell_tri_offsets = tri_off[c_off]
 
     def boundary_outward_normal(self, fid: int) -> np.ndarray:
         if not self.face_on_boundary[fid]:
             raise MeshError(f"face {fid} is not a boundary face")
-        cid, sign = self.face_cells[fid][0]
-        return sign * self.face_normal[fid]
+        return self.face_cell_signs[fid, 0] * self.face_normal[fid]
 
     # -- quadrature ---------------------------------------------------------
 
@@ -358,48 +417,30 @@ class Mesh:
         if cached is not None:
             return cached
         ref_pts, ref_w = triangle_rule(degree)
-        loop = self.face_loops[fid]
-        pos = self.positions[loop]
-        signed = self._face_tri_signed[fid]
-        pts = []
-        wts = []
-        for t in range(len(loop) - 2):
-            pts.append(map_triangle(ref_pts, pos[0], pos[t + 1], pos[t + 2]))
-            wts.append(ref_w * signed[t])
-        result = (np.vstack(pts), np.concatenate(wts))
+        pos = self.positions[self.face_loops[fid]]
+        result = (np.vstack([map_triangle(ref_pts, pos[0], pos[t + 1], pos[t + 2])
+                             for t in range(len(pos) - 2)]),
+                  np.concatenate([ref_w * s for s in self._face_tri_signed[fid]]))
         self._face_quad_cache[key] = result
         return result
 
     def cell_quadrature(self, cid: int, degree: int):
         """Points and absolute weights integrating over cell `cid`, using the
-        decomposition into sub-tets (face fan triangle + cell centroid)."""
+        decomposition into sub-tets (face fan triangle + cell centroid); a
+        face with sign -1 fans from its reversed loop."""
         key = (cid, degree)
         cached = self._quad_cache.get(key)
         if cached is not None:
             return cached
         ref_pts, ref_w = tet_rule(degree)
         apex = self.cell_centroid[cid]
-        pts = []
-        wts = []
-        for fid, sign in zip(self.cell_faces[cid], self.cell_signs[cid]):
-            for tri in self._oriented_face_triangles(fid, sign):
-                verts = np.vstack([tri, apex])
-                v6 = np.dot(np.cross(tri[1] - apex, tri[2] - apex), tri[0] - apex)
-                pts.append(map_tet(ref_pts, verts))
-                wts.append(ref_w * (v6 / 6.0))
-        result = (np.vstack(pts), np.concatenate(wts))
+        lo, hi = self._cell_tri_offsets[cid:cid + 2]
+        tris = self.positions[self._cell_tris[lo:hi]]
+        v6 = [np.dot(np.cross(t[1] - apex, t[2] - apex), t[0] - apex) for t in tris]
+        result = (np.vstack([map_tet(ref_pts, np.vstack([t, apex])) for t in tris]),
+                  np.concatenate([ref_w * (v / 6.0) for v in v6]))
         self._quad_cache[key] = result
         return result
-
-
-def _max_pairwise_distance(pos: np.ndarray) -> float:
-    diff = pos[:, None, :] - pos[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2)).max())
-
-
-def compute_geometry(positions, face_loops, cell_faces, cell_signs) -> Mesh:
-    """Build a fully connected Mesh with all derived geometric fields."""
-    return Mesh(positions, face_loops, cell_faces, cell_signs)
 
 
 # -- POLYMESH format ---------------------------------------------------------
@@ -427,6 +468,15 @@ def parse_polymesh(source) -> Mesh:
         except StopIteration:
             raise MeshFormatError(f"unexpected end of input while reading {what}")
 
+    def counted_ints(what, items):
+        try:
+            ints = [int(p) for p in next_line(what).split()]
+        except ValueError:
+            raise MeshFormatError(f"{what}: malformed index")
+        if not ints or ints[0] != len(ints) - 1:
+            raise MeshFormatError(f"{what}: count does not match {items} list")
+        return ints
+
     header = next_line("header").split()
     if header != ["POLYMESH", "1"]:
         raise MeshFormatError("malformed header: expected 'POLYMESH 1'")
@@ -452,13 +502,7 @@ def parse_polymesh(source) -> Mesh:
 
     face_loops = []
     for i in range(n_f):
-        parts = next_line(f"face {i}").split()
-        try:
-            ints = [int(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"face {i}: malformed index")
-        if not ints or ints[0] != len(ints) - 1:
-            raise MeshFormatError(f"face {i}: count does not match vertex list")
+        ints = counted_ints(f"face {i}", "vertex")
         if ints[0] < 3:
             raise MeshError(f"face {i} has fewer than 3 vertices")
         loop = np.array(ints[1:], dtype=int)
@@ -469,13 +513,7 @@ def parse_polymesh(source) -> Mesh:
     cell_faces = []
     cell_signs = []
     for i in range(n_c):
-        parts = next_line(f"cell {i}").split()
-        try:
-            ints = [int(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"cell {i}: malformed index")
-        if not ints or ints[0] != len(ints) - 1:
-            raise MeshFormatError(f"cell {i}: count does not match face list")
+        ints = counted_ints(f"cell {i}", "face")
         if ints[0] < 4:
             raise MeshError(f"cell {i} has fewer than 4 faces")
         signed = np.array(ints[1:], dtype=int)
@@ -490,7 +528,7 @@ def parse_polymesh(source) -> Mesh:
     leftover = next(lines, None)
     if leftover is not None:
         raise MeshFormatError(f"trailing content after cell list: {leftover!r}")
-    return compute_geometry(positions, face_loops, cell_faces, cell_signs)
+    return Mesh(positions, face_loops, cell_faces, cell_signs)
 
 
 def write_polymesh(mesh: Mesh, stream: TextIO | None = None) -> str:
@@ -543,57 +581,35 @@ def _grid_positions(n: int) -> np.ndarray:
     return np.column_stack([x.ravel(), y.ravel(), z.ravel()])
 
 
-def _grid_index(n: int, i, j, k):
-    return i + (n + 1) * (j + (n + 1) * k)
+# per face family (normal axis): loop corners as (di, dj, dk) offsets from
+# the face's lowest grid point
+_HEX_FACE_CORNERS = (
+    ((0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1)),
+    ((0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 0, 0)),
+    ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)),
+)
 
 
 def _generate_hex(n: int) -> Mesh:
-    positions = _grid_positions(n)
+    grid = np.arange((n + 1) ** 3).reshape(n + 1, n + 1, n + 1).transpose()  # [i, j, k]
     face_loops = []
-    fx = np.empty((n + 1, n, n), dtype=int)
-    fy = np.empty((n, n + 1, n), dtype=int)
-    fz = np.empty((n, n, n + 1), dtype=int)
-    for i in range(n + 1):
-        for j in range(n):
-            for k in range(n):
-                fx[i, j, k] = len(face_loops)
-                face_loops.append([
-                    _grid_index(n, i, j, k), _grid_index(n, i, j + 1, k),
-                    _grid_index(n, i, j + 1, k + 1), _grid_index(n, i, j, k + 1),
-                ])
-    for j in range(n + 1):
-        for i in range(n):
-            for k in range(n):
-                fy[i, j, k] = len(face_loops)
-                face_loops.append([
-                    _grid_index(n, i, j, k), _grid_index(n, i, j, k + 1),
-                    _grid_index(n, i + 1, j, k + 1), _grid_index(n, i + 1, j, k),
-                ])
-    for k in range(n + 1):
-        for i in range(n):
-            for j in range(n):
-                fz[i, j, k] = len(face_loops)
-                face_loops.append([
-                    _grid_index(n, i, j, k), _grid_index(n, i + 1, j, k),
-                    _grid_index(n, i + 1, j + 1, k), _grid_index(n, i, j + 1, k),
-                ])
-    cell_faces = []
-    cell_signs = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                cell_faces.append([
-                    fx[i, j, k], fx[i + 1, j, k],
-                    fy[i, j, k], fy[i, j + 1, k],
-                    fz[i, j, k], fz[i, j, k + 1],
-                ])
-                cell_signs.append([-1, 1, -1, 1, -1, 1])
-    return compute_geometry(positions, face_loops, cell_faces, cell_signs)
-
-
-_KUHN_PERMUTATIONS = (
-    (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-)
+    face_ids = []  # per family, the face id at [i, j, k]
+    for axis, corners in enumerate(_HEX_FACE_CORNERS):
+        ext = [n, n, n]
+        ext[axis] = n + 1
+        # faces of a family are numbered along the normal axis first, then
+        # along the remaining axes in (i, j, k) order
+        order = [axis] + [a for a in range(3) if a != axis]
+        loop = np.stack([grid[di:di + ext[0], dj:dj + ext[1], dk:dk + ext[2]]
+                         for di, dj, dk in corners], axis=-1)
+        face_loops.append(loop.transpose(*order, 3).reshape(-1, 4))
+        ids = np.arange(np.prod(ext)).reshape([ext[a] for a in order])
+        face_ids.append(sum(map(len, face_loops[:-1])) + ids.transpose(np.argsort(order)))
+    fx, fy, fz = face_ids
+    cell_faces = np.stack([fx[:-1], fx[1:], fy[:, :-1], fy[:, 1:], fz[..., :-1], fz[..., 1:]],
+                          axis=-1).transpose(2, 1, 0, 3).reshape(-1, 6)
+    cell_signs = np.tile([-1, 1, -1, 1, -1, 1], (n**3, 1))
+    return Mesh(_grid_positions(n), np.vstack(face_loops), cell_faces, cell_signs)
 
 
 def _generate_tet(n: int, perturb: float, seed: int) -> Mesh:
@@ -602,50 +618,35 @@ def _generate_tet(n: int, perturb: float, seed: int) -> Mesh:
         rng = np.random.default_rng(seed)
         interior = np.all((positions > 0.0) & (positions < 1.0), axis=1)
         delta = perturb * (1.0 / n) / 2.0
-        offsets = rng.uniform(-delta, delta, size=(int(interior.sum()), 3))
-        positions = positions.copy()
-        positions[interior] += offsets
+        positions[interior] += rng.uniform(-delta, delta, size=(int(interior.sum()), 3))
 
-    tets = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                base = np.array([i, j, k])
-                for perm in _KUHN_PERMUTATIONS:
-                    corners = [base.copy()]
-                    cur = base.copy()
-                    for axis in perm:
-                        cur = cur.copy()
-                        cur[axis] += 1
-                        corners.append(cur)
-                    tets.append([_grid_index(n, *c) for c in corners])
+    # cubes in (k, j, i) order, 6 tets each: the corners walk from the cube's
+    # lowest grid point to its highest along the axes of each permutation,
+    # in lexicographic order
+    stride = np.array([1, n + 1, (n + 1) ** 2])
+    steps = np.zeros((6, 4), dtype=int)
+    steps[:, 1:] = np.cumsum(stride[list(permutations(range(3)))], axis=1)
+    base = np.arange((n + 1) ** 3).reshape(n + 1, n + 1, n + 1)[:n, :n, :n].ravel()
+    tets = (base[:, None, None] + steps).reshape(-1, 4)
 
-    face_ids: dict = {}
-    face_loops = []
-    cell_faces = []
-    cell_signs = []
-    for tet in tets:
-        faces = []
-        signs = []
-        for local in ((1, 2, 3, 0), (0, 2, 3, 1), (0, 1, 3, 2), (0, 1, 2, 3)):
-            tri = [tet[local[0]], tet[local[1]], tet[local[2]]]
-            opposite = tet[local[3]]
-            a, b, c = positions[tri]
-            outward = np.dot(np.cross(b - a, c - a), positions[opposite] - a) < 0
-            loop = tri if outward else [tri[0], tri[2], tri[1]]
-            key = frozenset(tri)
-            fid = face_ids.get(key)
-            if fid is None:
-                fid = len(face_loops)
-                face_ids[key] = fid
-                face_loops.append(loop)
-                signs.append(1)
-            else:
-                signs.append(-1)
-            faces.append(fid)
-        cell_faces.append(faces)
-        cell_signs.append(signs)
-    return compute_geometry(positions, face_loops, cell_faces, cell_signs)
+    # four faces per tet, each with its opposite vertex; a loop is kept if
+    # its normal points away from the opposite vertex, reversed otherwise
+    local = np.array([(1, 2, 3, 0), (0, 2, 3, 1), (0, 1, 3, 2), (0, 1, 2, 3)])
+    tri = tets[:, local[:, :3]].reshape(-1, 3)
+    a, b, c = (positions[tri[:, k]] for k in range(3))
+    opposite = positions[tets[:, local[:, 3]].ravel()]
+    outward = np.einsum("ij,ij->i", np.cross(b - a, c - a), opposite - a) < 0
+    loops = np.where(outward[:, None], tri, tri[:, [0, 2, 1]])
+
+    # faces are numbered in order of first occurrence, with sign +1 there
+    _, first, inverse = np.unique(np.sort(tri, axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.argsort(by_first)
+    inverse = inverse.ravel()
+    cell_faces = rank[inverse].reshape(-1, 4)
+    cell_signs = np.where(first[inverse] == np.arange(len(tri)), 1, -1).reshape(-1, 4)
+    return Mesh(positions, loops[first[by_first]], cell_faces, cell_signs)
 
 
 # -- validation ---------------------------------------------------------------
@@ -656,73 +657,67 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
     (min/max of h_K^3/|K| and of face-area/h_K^2)."""
     report = ValidationReport()
     v = report.violations
-    h = mesh.h
+    positions = mesh.positions
 
-    referenced = np.zeros(mesh.n_faces, dtype=bool)
-    for cid in range(mesh.n_cells):
-        referenced[mesh.cell_faces[cid]] = True
-    for fid in np.flatnonzero(~referenced):
-        v.append(f"face {fid} not referenced by any cell")
+    referenced = np.bincount(mesh.cell_face_ids, minlength=mesh.n_faces) > 0
+    v += _violations((~referenced, "face {} not referenced by any cell".format))
 
-    for fid in range(mesh.n_faces):
-        entries = mesh.face_cells[fid]
-        if mesh.face_on_boundary[fid] != (len(entries) == 1):
-            v.append(f"face {fid}: boundary flag inconsistent with adjacency")
-        if len(entries) == 2 and entries[0][1] * entries[1][1] != -1:
-            v.append(f"face {fid}: interior face without opposite orientation signs")
-        normal = mesh.face_normal[fid]
-        if abs(np.linalg.norm(normal) - 1.0) > 1e-12:
-            v.append(f"face {fid}: normal is not unit length")
-        loop_pos = mesh.positions[mesh.face_loops[fid]]
-        diam = _max_pairwise_distance(loop_pos)
-        if np.abs((loop_pos - mesh.face_centroid[fid]) @ normal).max() > PLANARITY_RTOL * diam:
-            v.append(f"face {fid}: loop vertices are not coplanar")
-        w = mesh.face_weights[fid]
-        if w.min() < -1e-14 or abs(w.sum() - 1.0) > 1e-12:
-            v.append(f"face {fid}: invalid convex weights")
-        recon = w @ loop_pos
-        if np.linalg.norm(recon - mesh.face_centroid[fid]) > 1e-12 * max(diam, 1.0):
-            v.append(f"face {fid}: weights do not reproduce the centroid")
-        edge_sum = mesh.face_edge_lengths[fid] @ mesh.face_edge_normals[fid]
-        if np.linalg.norm(edge_sum) > 1e-12 * max(h, 1.0):
-            v.append(f"face {fid}: closed-polygon identity violated")
+    f_off, loops = mesh.face_loop_offsets, mesh.face_loop_vertices
+    owner = _owner(f_off)
+    diam = _diameters(positions, f_off, loops)
+    n_adj = (mesh.face_cell_signs != 0).sum(axis=1)
+    normal = mesh.face_normal
+    offset = np.maximum.reduceat(np.abs(np.einsum(
+        "ij,ij->i", positions[loops] - mesh.face_centroid[owner], normal[owner])), f_off[:-1])
+    not_convex, off_centroid = _weight_defects(positions, f_off, loops, mesh._face_weights,
+                                               mesh.face_centroid, diam)
+    edge_sum = _row_sums(mesh._edge_lengths[:, None] * mesh._edge_normals, f_off)
+    v += _violations(
+        (mesh.face_on_boundary != (n_adj == 1),
+         "face {}: boundary flag inconsistent with adjacency".format),
+        ((n_adj == 2) & (mesh.face_cell_signs.prod(axis=1) != -1),
+         "face {}: interior face without opposite orientation signs".format),
+        (np.abs(np.linalg.norm(normal, axis=1) - 1.0) > 1e-12,
+         "face {}: normal is not unit length".format),
+        (offset > PLANARITY_RTOL * diam, "face {}: loop vertices are not coplanar".format),
+        (not_convex, "face {}: invalid convex weights".format),
+        (off_centroid, "face {}: weights do not reproduce the centroid".format),
+        (np.linalg.norm(edge_sum, axis=1) > 1e-12 * max(mesh.h, 1.0),
+         "face {}: closed-polygon identity violated".format),
+    )
 
     vb = np.zeros(mesh.n_vertices, dtype=bool)
-    for fid in np.flatnonzero(mesh.face_on_boundary):
-        vb[mesh.face_loops[fid]] = True
+    vb[loops[mesh.face_on_boundary[owner]]] = True
     if not np.array_equal(vb, mesh.vertex_on_boundary):
         bad = np.flatnonzero(vb != mesh.vertex_on_boundary)
         v.append(f"vertex {bad[0]}: boundary flag inconsistent")
 
-    proxy_cell = []
-    proxy_face = []
-    for cid in range(mesh.n_cells):
-        hk = mesh.cell_diameter[cid]
-        vol = mesh.cell_volume[cid]
-        if not vol > 0.0:
-            v.append(f"cell {cid}: non-positive volume")
-            continue
-        proxy_cell.append(hk**3 / vol)
-        surface = np.zeros(3)
-        for fid, sign in zip(mesh.cell_faces[cid], mesh.cell_signs[cid]):
-            surface += mesh.face_area[fid] * sign * mesh.face_normal[fid]
-            proxy_face.append(mesh.face_area[fid] / hk**2)
-        if np.linalg.norm(surface) > 1e-12 * hk**2:
-            v.append(f"cell {cid}: closed-surface identity violated")
-        pos = mesh.positions[mesh.cell_vertices[cid]]
-        if abs(_max_pairwise_distance(pos) - hk) > 1e-12 * max(hk, 1.0):
-            v.append(f"cell {cid}: stored diameter mismatch")
-        w = mesh.cell_weights[cid]
-        if w.min() < -1e-14 or abs(w.sum() - 1.0) > 1e-12:
-            v.append(f"cell {cid}: invalid convex weights")
-        recon = w @ pos
-        if np.linalg.norm(recon - mesh.cell_centroid[cid]) > 1e-12 * max(hk, 1.0):
-            v.append(f"cell {cid}: weights do not reproduce the centroid")
+    hk = mesh.cell_diameter
+    vol = mesh.cell_volume
+    good = vol > 0.0
+    c_off, faces = mesh.cell_face_offsets, mesh.cell_face_ids
+    entry_cell = _owner(c_off)
+    surface = _row_sums((mesh.face_area[faces] * mesh.cell_face_signs)[:, None]
+                        * normal[faces], c_off)
+    v_off, vertex_ids = mesh.cell_vertex_offsets, mesh.cell_vertex_ids
+    not_convex, off_centroid = _weight_defects(positions, v_off, vertex_ids, mesh._cell_weights,
+                                               mesh.cell_centroid, hk)
+    v += _violations(
+        (~good, "cell {}: non-positive volume".format),
+        (good & (np.linalg.norm(surface, axis=1) > 1e-12 * hk**2),
+         "cell {}: closed-surface identity violated".format),
+        (good & (np.abs(_diameters(positions, v_off, vertex_ids) - hk)
+                 > 1e-12 * np.maximum(hk, 1.0)),
+         "cell {}: stored diameter mismatch".format),
+        (good & not_convex, "cell {}: invalid convex weights".format),
+        (good & off_centroid, "cell {}: weights do not reproduce the centroid".format),
+    )
 
-    if proxy_cell:
+    if good.any():
+        proxy_cell = hk[good] ** 3 / vol[good]
+        proxy_face = (mesh.face_area[faces] / hk[entry_cell] ** 2)[good[entry_cell]]
         report.proxies["cell_regularity_min"] = float(np.min(proxy_cell))
         report.proxies["cell_regularity_max"] = float(np.max(proxy_cell))
-    if proxy_face:
         report.proxies["face_regularity_min"] = float(np.min(proxy_face))
         report.proxies["face_regularity_max"] = float(np.max(proxy_face))
     return report

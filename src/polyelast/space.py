@@ -78,8 +78,8 @@ class DofMap:
         self.vector_size = self.n_vertex_dofs + self.n_bubbles
 
         dirichlet_vertices = np.zeros(mesh.n_vertices, dtype=bool)
-        for fid in np.flatnonzero(dirichlet_faces):
-            dirichlet_vertices[mesh.face_loops[fid]] = True
+        on_dirichlet = np.repeat(dirichlet_faces, np.diff(mesh.face_loop_offsets))
+        dirichlet_vertices[mesh.face_loop_vertices[on_dirichlet]] = True
         self.dirichlet_vertices = dirichlet_vertices
 
         mask = np.zeros(self.vector_size, dtype=bool)
@@ -200,14 +200,10 @@ class CellReconstruction:
         return out if np.ndim(points) > 1 else out[0]
 
 
-def _operator_cache(mesh: Mesh) -> dict:
-    return mesh.__dict__.setdefault("_operator_cache", {})
-
-
 def cell_gradient_operator(mesh: Mesh, cid: int) -> np.ndarray:
     """Matrix (9, n_loc) mapping local cell DOFs to the row-major entries of
     the constant cell gradient.  Cached per mesh; do not mutate the result."""
-    cache = _operator_cache(mesh)
+    cache = mesh._operator_cache
     cached = cache.get(("grad", cid))
     if cached is not None:
         return cached
@@ -245,7 +241,7 @@ def divergence_operator(grad_op: np.ndarray) -> np.ndarray:
 def cell_mean_operator(mesh: Mesh, cid: int) -> np.ndarray:
     """Matrix (3, n_loc) mapping local DOFs to the weighted vertex average.
     Cached per mesh; do not mutate the result."""
-    cache = _operator_cache(mesh)
+    cache = mesh._operator_cache
     cached = cache.get(("mean", cid))
     if cached is not None:
         return cached
@@ -288,7 +284,7 @@ def displacement_fit_operator(mesh: Mesh, cid: int) -> np.ndarray:
     """Matrix (3*n_vK, n_loc) of the map  DOFs -> (v_s - P(x_s))_s  where P is
     the affine cell reconstruction evaluated at the cell vertices.  Cached per
     mesh; do not mutate the result."""
-    cache = _operator_cache(mesh)
+    cache = mesh._operator_cache
     cached = cache.get(("fit", cid))
     if cached is not None:
         return cached
