@@ -23,24 +23,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import (
-    BoundaryConditions,
-    assemble_load,
-    assemble_matrix,
-    check_dirichlet_coverage,
-    dirichlet_lifting,
-    reduce_system,
-)
+from .assembly import BoundaryConditions, assemble
 from .mesh import DEFAULT_SEED, Mesh, generate_structured_mesh, parse_polymesh
 from .solver import SolverConfig, solve_spd
 from .space import (
     DiscreteFunction,
     DofMap,
     MaterialParams,
-    cell_reconstructions,
-    cell_stabilization_energy,
+    ReconstructionOperators,
     interpolate,
-    stress,
 )
 
 logger = logging.getLogger(__name__)
@@ -121,11 +112,9 @@ def _all_boundary(mesh: Mesh) -> np.ndarray:
 
 
 def _x0_plane_faces(mesh: Mesh) -> np.ndarray:
-    mask = np.zeros(mesh.n_faces, dtype=bool)
-    for fid in np.flatnonzero(mesh.face_on_boundary):
-        xs = mesh.positions[mesh.face_loops[fid]][:, 0]
-        mask[fid] = np.abs(xs).max() <= 1e-10
-    return mask
+    xs = np.abs(mesh.positions[mesh.face_loop_vertices, 0])
+    return mesh.face_on_boundary & (np.maximum.reduceat(xs, mesh.face_loop_offsets[:-1])
+                                    <= 1e-10)
 
 
 def case_dirichlet_tagger(name: str) -> Callable:
@@ -211,39 +200,35 @@ class DiscreteNorms:
     stabilization: float
 
 
+def _volume_norm_sq(ops: ReconstructionOperators, values: np.ndarray) -> float:
+    """Sum over cells of |K| times the squared cell entries of `values`, the
+    image of a DOF vector under one of the operators of `ops`."""
+    return float(ops.volume @ (values**2).reshape(len(ops.volume), -1).sum(axis=1))
+
+
 def discrete_norms(mesh: Mesh, func: DiscreteFunction,
                    material: MaterialParams) -> DiscreteNorms:
     """Broken H1, energy, strain-L2 and stabilization (semi)norms."""
-    h1_sq = 0.0
-    energy_sq = 0.0
-    eps_sq = 0.0
-    s_total = 0.0
-    for cid in range(mesh.n_cells):
-        rec = cell_reconstructions(mesh, cid, func)
-        vol = mesh.cell_volume[cid]
-        s_val = cell_stabilization_energy(mesh, cid, func)
-        h1_sq += vol * np.sum(rec.gradient**2) + s_val
-        eps_sq += vol * np.sum(rec.strain**2)
-        sig = stress(rec.strain, rec.divergence, material)
-        energy_sq += vol * np.sum(sig * rec.strain) + material.stabilization_scale * s_val
-        s_total += s_val
+    ops = ReconstructionOperators(mesh)
+    v = func.values
+    s_val = ops.stabilization_energy(v)
+    eps_sq = _volume_norm_sq(ops, ops.strain @ v)
+    energy_sq = (2.0 * material.mu * eps_sq
+                 + material.lam * _volume_norm_sq(ops, ops.divergence @ v)
+                 + material.stabilization_scale * s_val)
     return DiscreteNorms(
-        h1=float(np.sqrt(h1_sq)),
+        h1=float(np.sqrt(_volume_norm_sq(ops, ops.gradient @ v) + s_val)),
         energy=float(np.sqrt(energy_sq)),
         eps_l2=float(np.sqrt(eps_sq)),
-        stabilization=float(s_total),
+        stabilization=s_val,
     )
 
 
 def exact_strain_norm(mesh: Mesh, strain_fn: Callable,
                       quad_degree: int = 4) -> float:
     """L2 norm of an exact strain field over the mesh, by cell quadrature."""
-    total = 0.0
-    for cid in range(mesh.n_cells):
-        pts, wts = mesh.cell_quadrature(cid, quad_degree)
-        eps = strain_fn(pts)
-        total += wts @ np.sum(eps**2, axis=(1, 2))
-    return float(np.sqrt(total))
+    points, weights, _ = mesh.batched_cell_quadrature(quad_degree)
+    return float(np.sqrt(weights @ np.sum(strain_fn(points) ** 2, axis=(1, 2))))
 
 
 def relative_error(mesh: Mesh, solution: DiscreteFunction,
@@ -251,11 +236,8 @@ def relative_error(mesh: Mesh, solution: DiscreteFunction,
                    quad_degree: int = 4) -> float:
     """Strain-L2 distance between the discrete solution and the interpolant
     of the exact solution, relative to the exact strain norm."""
-    diff = DiscreteFunction(solution.dofmap, solution.values - reference.values)
-    num_sq = 0.0
-    for cid in range(mesh.n_cells):
-        rec = cell_reconstructions(mesh, cid, diff)
-        num_sq += mesh.cell_volume[cid] * np.sum(rec.strain**2)
+    ops = ReconstructionOperators(mesh)
+    num_sq = _volume_norm_sq(ops, ops.strain @ (solution.values - reference.values))
     den = exact_strain_norm(mesh, strain_fn, quad_degree)
     if den == 0.0:
         raise ZeroDivisionError("exact strain norm vanishes")
@@ -278,14 +260,12 @@ def consistency_error(mesh: Mesh, gradient_fn: Callable,
     """Gradient-consistency error of the interpolant: L2 distance between the
     exact gradient and the piecewise-constant reconstruction, plus the
     stabilization energy, all under a square root."""
-    total = 0.0
-    for cid in range(mesh.n_cells):
-        rec = cell_reconstructions(mesh, cid, interpolant)
-        pts, wts = mesh.cell_quadrature(cid, quad_degree)
-        diff = gradient_fn(pts) - rec.gradient
-        total += wts @ np.sum(diff**2, axis=(1, 2))
-        total += cell_stabilization_energy(mesh, cid, interpolant)
-    return float(np.sqrt(total))
+    ops = ReconstructionOperators(mesh)
+    points, weights, offsets = mesh.batched_cell_quadrature(quad_degree)
+    grad = (ops.gradient @ interpolant.values).reshape(-1, 3, 3)
+    diff = gradient_fn(points) - np.repeat(grad, np.diff(offsets), axis=0)
+    total = weights @ np.sum(diff**2, axis=(1, 2))
+    return float(np.sqrt(total + ops.stabilization_energy(interpolant.values)))
 
 
 def adjoint_residual(mesh: Mesh, stress_fn: Callable, force_fn: Callable,
@@ -293,15 +273,11 @@ def adjoint_residual(mesh: Mesh, stress_fn: Callable, force_fn: Callable,
     """Integration-by-parts residual of an exact stress against a discrete
     test function: sum over cells of (cell mean stress):strain(v) minus the
     force integral against the piecewise-constant displacement."""
-    total = 0.0
-    for cid in range(mesh.n_cells):
-        rec = cell_reconstructions(mesh, cid, func)
-        pts, wts = mesh.cell_quadrature(cid, quad_degree)
-        sigma_int = np.tensordot(wts, stress_fn(pts), axes=(0, 0))
-        total += np.sum(sigma_int * rec.strain)
-        force_int = wts @ force_fn(pts)
-        total -= force_int @ rec.mean_value
-    return float(total)
+    ops = ReconstructionOperators(mesh)
+    stress_int = ops.cell_integrals(stress_fn, quad_degree).ravel()
+    force_int = ops.cell_integrals(force_fn, quad_degree).ravel()
+    return float(stress_int @ (ops.strain @ func.values)
+                 - force_int @ (ops.mean @ func.values))
 
 
 @dataclass(frozen=True)
@@ -314,20 +290,15 @@ def korn_ratio(mesh: Mesh, dofmap: DofMap, sample_count: int,
                seed: int = DEFAULT_SEED) -> KornStats:
     """Sampled discrete Korn ratios |v|_{1,D}^2 / (|eps(v)|^2 + S(v,v)) over
     random interior-supported discrete functions."""
+    ops = ReconstructionOperators(mesh)
     rng = np.random.default_rng(seed)
     ratios = np.empty(sample_count)
     for k in range(sample_count):
         values = np.zeros(dofmap.vector_size)
         values[dofmap.free_indices] = rng.standard_normal(dofmap.n_free)
-        func = DiscreteFunction(dofmap, values)
-        num = 0.0
-        den = 0.0
-        for cid in range(mesh.n_cells):
-            rec = cell_reconstructions(mesh, cid, func)
-            vol = mesh.cell_volume[cid]
-            s_val = cell_stabilization_energy(mesh, cid, func)
-            num += vol * np.sum(rec.gradient**2) + s_val
-            den += vol * np.sum(rec.strain**2) + s_val
+        s_val = ops.stabilization_energy(values)
+        num = _volume_norm_sq(ops, ops.gradient @ values) + s_val
+        den = _volume_norm_sq(ops, ops.strain @ values) + s_val
         if den <= 0.0:
             raise ArithmeticError("Korn denominator vanished for a nonzero "
                                   "discrete function")
@@ -436,12 +407,10 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
     """Assemble/solve the case on every (mesh, lambda) pair and report
     relative errors and observed rates.
 
-    The matrix is assembled once per mesh at lambda in {0, 1} and recombined
-    linearly for every requested lambda (the bilinear form is affine in
-    lambda); right-hand sides, liftings and references are recomputed per
-    lambda because the exact fields may depend on it.  In the no-bubble
-    ablation mode, rates are reported only for lambda < 1e3 rows, where the
-    error still behaves like a power of h.
+    Every lambda is assembled on its own, as a single solve is; the exact
+    fields and hence the loads and liftings may depend on lambda.  In the
+    no-bubble ablation mode, rates are reported only for lambda < 1e3 rows,
+    where the error still behaves like a power of h.
     """
     if not lambdas:
         raise ValueError("lambda list must be non-empty")
@@ -453,18 +422,12 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
         mesh = source.build(seed=seed)
         tags = case_dirichlet_tagger(case_name)(mesh)
         dofmap = DofMap(mesh, bubbles_enabled=bubbles, dirichlet_faces=tags)
-        check_dirichlet_coverage(mesh, dofmap)
-        mat_zero = assemble_matrix(mesh, dofmap, MaterialParams(mu=mu, lam=0.0, mu1=mu1))
-        mat_div = (assemble_matrix(mesh, dofmap, MaterialParams(mu=mu, lam=1.0, mu1=mu1))
-                   - mat_zero).tocsr()
         for lam in lambdas:
             start = time.perf_counter()
             case = manufactured_case(case_name, lam=lam, mu=mu, mu1=mu1)
-            bcs = case.boundary_conditions(mesh)
-            full_matrix = (mat_zero + lam * mat_div).tocsr()
-            load = assemble_load(mesh, dofmap, bcs, case.body_force, quad_degree)
-            lifting = dirichlet_lifting(mesh, dofmap, bcs)
-            system = reduce_system(full_matrix, load, lifting, dofmap)
+            system = assemble(mesh, dofmap, case.material,
+                              case.boundary_conditions(mesh), case.body_force,
+                              quad_degree)
             result = solve_spd(system, solver_config)
             reference = interpolate(mesh, dofmap, case.displacement)
             err = relative_error(mesh, result.function, reference, case.strain,

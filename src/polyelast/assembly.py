@@ -4,9 +4,12 @@ The bilinear form of the scheme is, cell by cell,
 
     |K| * (2*mu * strain(u):strain(v) + lambda * div(u)*div(v)) + mu1 * S_K(u,v)
 
-and the volume load acts through the piecewise-constant displacement
-reconstruction, so each cell vertex receives its convex weight times the cell
-integral of the force and bubbles receive no volume load.  Dirichlet values
+so the global matrix is 2*mu*Gs^T W Gs + lambda*D^T W D + mu1*(F^T H F + H_b)
+in the sparse operators of `ReconstructionOperators` (strain Gs, divergence
+D, vertex fit F, cell volumes W, h_K scalings H and H_b).  The volume load
+acts through the piecewise-constant displacement reconstruction M, so each
+cell vertex receives its convex weight times the cell integral of the force
+and bubbles receive no volume load.  Dirichlet values
 are imposed by lifting: constrained DOFs are filled from the boundary data
 (vertex point values, interpolator bubble moments) and eliminated from the
 reduced system.
@@ -25,12 +28,9 @@ from .mesh import Mesh
 from .space import (
     DofMap,
     MaterialParams,
-    cell_gradient_operator,
-    cell_mean_operator,
-    divergence_operator,
+    ReconstructionOperators,
     face_bubble_moments,
-    stabilization_local,
-    strain_operator,
+    local_dofs,
 )
 
 
@@ -56,16 +56,6 @@ class BoundaryConditions:
     @classmethod
     def all_dirichlet(cls, mesh: Mesh, data: Callable | None = None):
         return cls(mesh.face_on_boundary.copy(), dirichlet_data=data)
-
-    @classmethod
-    def from_predicate(cls, mesh: Mesh, dirichlet_predicate: Callable[[int], bool],
-                       dirichlet_data: Callable | None = None,
-                       neumann_data: Callable | None = None):
-        """Tag each boundary face Dirichlet iff the predicate holds for it."""
-        mask = np.zeros(mesh.n_faces, dtype=bool)
-        for fid in np.flatnonzero(mesh.face_on_boundary):
-            mask[fid] = bool(dirichlet_predicate(fid))
-        return cls(mask, dirichlet_data, neumann_data)
 
     def check(self, mesh: Mesh):
         mask = np.asarray(self.dirichlet_faces, dtype=bool)
@@ -102,29 +92,37 @@ class SparseSystem:
         return len(self.free_indices)
 
 
+def _matrix(ops: ReconstructionOperators, material: MaterialParams) -> sp.csr_matrix:
+    """The matrix of the bilinear form over the cells of `ops`."""
+    volume = sp.diags(ops.volume)
+    strain_volume = sp.diags(np.repeat(ops.volume, 9))
+    return (2.0 * material.mu * (ops.strain.T @ strain_volume @ ops.strain)
+            + material.lam * (ops.divergence.T @ volume @ ops.divergence)
+            + material.stabilization_scale * ops.stabilization()).tocsr()
+
+
+def _volume_load(ops: ReconstructionOperators, body_force: Callable,
+                 quad_degree: int) -> np.ndarray:
+    """M^T (cell integrals of the force): each vertex receives its convex
+    weight times the cell integral; bubbles receive zero."""
+    return ops.mean.T @ ops.cell_integrals(body_force, quad_degree).ravel()
+
+
 def local_matrix(mesh: Mesh, cid: int, material: MaterialParams,
                  dofmap: DofMap) -> np.ndarray:
     """Local stiffness + stabilization matrix over the cell DOFs."""
-    grad_op = cell_gradient_operator(mesh, cid)
-    strain_op = strain_operator(grad_op)
-    div_row = divergence_operator(grad_op)
-    vol = mesh.cell_volume[cid]
-    mat = vol * (2.0 * material.mu * strain_op.T @ strain_op
-                 + material.lam * np.outer(div_row, div_row))
-    mat += material.stabilization_scale * stabilization_local(mesh, cid, dofmap)
-    return mat
+    dofs = dofmap.cell_dofs(cid)
+    return _matrix(ReconstructionOperators(mesh, [cid]), material)[dofs][:, dofs].toarray()
 
 
 def local_load(mesh: Mesh, cid: int, body_force: Callable | None,
                quad_degree: int = 4) -> np.ndarray:
     """Local volume load: each vertex receives its convex weight times the
     cell integral of the force; bubbles receive zero."""
-    n_loc = 3 * len(mesh.cell_vertices[cid]) + len(mesh.cell_faces[cid])
+    dofs = local_dofs(mesh, cid)
     if body_force is None:
-        return np.zeros(n_loc)
-    pts, wts = mesh.cell_quadrature(cid, quad_degree)
-    cell_force = wts @ np.asarray(body_force(pts), dtype=float)
-    return cell_mean_operator(mesh, cid).T @ cell_force
+        return np.zeros(len(dofs))
+    return _volume_load(ReconstructionOperators(mesh, [cid]), body_force, quad_degree)[dofs]
 
 
 def local_system(mesh: Mesh, cid: int, material: MaterialParams, dofmap: DofMap,
@@ -170,23 +168,8 @@ def neumann_load(mesh: Mesh, fid: int, traction: Callable, dofmap: DofMap,
 
 def assemble_matrix(mesh: Mesh, dofmap: DofMap,
                     material: MaterialParams) -> sp.csr_matrix:
-    """Unconstrained global matrix, accumulated in ascending cell order."""
-    rows = []
-    cols = []
-    vals = []
-    for cid in range(mesh.n_cells):
-        dofs = dofmap.cell_dofs(cid)
-        mat = local_matrix(mesh, cid, material, dofmap)
-        grid = np.meshgrid(dofs, dofs, indexing="ij")
-        rows.append(grid[0].ravel())
-        cols.append(grid[1].ravel())
-        vals.append(mat.ravel())
-    n = dofmap.vector_size
-    coo = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return coo.tocsr()
+    """Unconstrained global matrix."""
+    return _matrix(ReconstructionOperators(mesh), material)
 
 
 def assemble_load(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions,
@@ -194,9 +177,7 @@ def assemble_load(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions,
     """Unconstrained load vector: volume force plus Neumann surface loads."""
     load = np.zeros(dofmap.vector_size)
     if body_force is not None:
-        for cid in range(mesh.n_cells):
-            load[dofmap.cell_dofs(cid)] += local_load(mesh, cid, body_force,
-                                                      quad_degree)
+        load += _volume_load(ReconstructionOperators(mesh), body_force, quad_degree)
     if bcs.neumann_data is not None:
         for fid in bcs.neumann_face_ids(mesh):
             dofs, values = neumann_load(mesh, fid, bcs.neumann_data, dofmap,
@@ -214,14 +195,12 @@ def dirichlet_lifting(mesh: Mesh, dofmap: DofMap,
     if bcs.dirichlet_data is None:
         return lifting
     vertex_values = np.asarray(bcs.dirichlet_data(mesh.positions), dtype=float)
-    for vid in np.flatnonzero(dofmap.dirichlet_vertices):
-        lifting[dofmap.vertex_slice(vid)] = vertex_values[vid]
+    constrained = np.repeat(dofmap.dirichlet_vertices, 3)
+    lifting[: dofmap.n_vertex_dofs][constrained] = vertex_values.ravel()[constrained]
     if dofmap.bubbles_enabled:
         face_ids = np.flatnonzero(dofmap.dirichlet_faces)
-        moments = face_bubble_moments(mesh, bcs.dirichlet_data, face_ids,
-                                      vertex_values)
-        for fid, val in zip(face_ids, moments):
-            lifting[dofmap.bubble_index(fid)] = val
+        lifting[dofmap.n_vertex_dofs + face_ids] = face_bubble_moments(
+            mesh, bcs.dirichlet_data, face_ids, vertex_values)
     return lifting
 
 

@@ -26,7 +26,7 @@ from .solver import SolverConfig, SolverError, solve_spd
 from .space import (
     DiscreteFunction,
     DofMap,
-    cell_reconstructions,
+    ReconstructionOperators,
     face_average,
     face_displacement,
     interpolate,
@@ -135,16 +135,13 @@ def _cmd_solve(args, parser) -> int:
     else:
         sys.stdout.write(text)
     if args.vtk:
-        divergence = np.empty(mesh.n_cells)
-        magnitude = np.empty(mesh.n_cells)
-        for cid in range(mesh.n_cells):
-            rec = cell_reconstructions(mesh, cid, result.function)
-            divergence[cid] = rec.divergence
-            magnitude[cid] = np.linalg.norm(rec.mean_value)
+        ops = ReconstructionOperators(mesh)
+        values = result.function.values
         write_vtk(args.vtk, mesh,
                   point_vectors={"displacement": result.function.vertex_values()},
-                  cell_scalars={"div_D": divergence,
-                                "displacement_magnitude": magnitude})
+                  cell_scalars={"div_D": ops.divergence @ values,
+                                "displacement_magnitude": np.linalg.norm(
+                                    (ops.mean @ values).reshape(-1, 3), axis=1)})
     return 0
 
 
@@ -183,22 +180,8 @@ def run_check_suite(mesh, seed: int = DEFAULT_SEED) -> list[tuple[str, bool, str
     detail = "no violations" if report.ok else report.violations[0]
     results.append(("mesh invariants", report.ok, detail))
 
-    ok = True
-    worst = 0.0
-    for fid in range(mesh.n_faces):
-        w = mesh.face_weights[fid]
-        pos = mesh.positions[mesh.face_loops[fid]]
-        err = max(abs(w.sum() - 1.0),
-                  np.linalg.norm(w @ pos - mesh.face_centroid[fid]))
-        worst = max(worst, err)
-        ok &= err <= 1e-12 and w.min() >= 0
-    for cid in range(mesh.n_cells):
-        w = mesh.cell_weights[cid]
-        pos = mesh.positions[mesh.cell_vertices[cid]]
-        err = max(abs(w.sum() - 1.0),
-                  np.linalg.norm(w @ pos - mesh.cell_centroid[cid]))
-        worst = max(worst, err)
-        ok &= err <= 1e-12 and w.min() >= 0
+    worst = report.proxies["weight_deviation_max"]
+    ok = worst <= 1e-12 and report.proxies["weight_min"] >= 0
     results.append(("weight identities", bool(ok), f"max deviation {worst:.2e}"))
 
     dofmap = DofMap(mesh)
@@ -213,16 +196,15 @@ def run_check_suite(mesh, seed: int = DEFAULT_SEED) -> list[tuple[str, bool, str
     results.append(("face mean property", worst <= 1e-12,
                     f"max deviation {worst:.2e}"))
 
+    divergence = ReconstructionOperators(mesh).divergence
     ident = interpolate(mesh, dofmap, lambda p: p)
-    worst = max(abs(cell_reconstructions(mesh, cid, ident).divergence - 3.0)
-                for cid in range(mesh.n_cells))
+    worst = np.abs(divergence @ ident.values - 3.0).max()
     sinus = interpolate(mesh, dofmap, lambda p: np.column_stack([
         -2.0 * np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]) * np.cos(np.pi * p[:, 2]),
         np.cos(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]) * np.cos(np.pi * p[:, 2]),
         np.cos(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]) * np.sin(np.pi * p[:, 2]),
     ]))
-    worst2 = max(abs(cell_reconstructions(mesh, cid, sinus).divergence)
-                 for cid in range(mesh.n_cells))
+    worst2 = np.abs(divergence @ sinus.values).max()
     ok = worst <= 1e-12 * 3.0 and worst2 <= 1e-10
     results.append(("divergence commutation", bool(ok),
                     f"identity {worst:.2e}, solenoidal {worst2:.2e}"))

@@ -28,7 +28,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .quadrature import map_tet, map_triangle, tet_rule, triangle_rule
+from .quadrature import map_triangle, tet_rule, triangle_rule
 
 PLANARITY_RTOL = 1e-9
 DEGENERATE_AREA_RTOL = 1e-14
@@ -135,6 +135,15 @@ def _row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
+def row_entries(offsets: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Entry positions of the given rows of a CSR array, in row order, and for
+    every entry the position of its row in `rows`."""
+    sizes = np.diff(offsets)[rows]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    first = np.cumsum(sizes) - sizes
+    return offsets[rows][owner] + np.arange(len(owner)) - first[owner], owner
+
+
 def _rows(flat: np.ndarray, offsets: np.ndarray) -> list:
     """Per-row views into a CSR array."""
     sizes = np.diff(offsets)
@@ -184,12 +193,15 @@ def _fill_weights(positions, offsets, ids, weights, centroid, diam, fast, reject
 
 
 def _weight_defects(positions, offsets, ids, weights, centroid, diam):
-    """Rows whose weights are not convex, and rows whose weights do not
-    reproduce the centroid."""
-    recon = _row_sums(weights[:, None] * positions[ids], offsets)
-    return ((np.minimum.reduceat(weights, offsets[:-1]) < -1e-14)
-            | (np.abs(_row_sums(weights, offsets) - 1.0) > 1e-12),
-            np.linalg.norm(recon - centroid, axis=1) > 1e-12 * np.maximum(diam, 1.0))
+    """Rows whose weights are not convex, rows whose weights do not
+    reproduce the centroid, and per row the larger of |sum of the weights - 1|
+    and the distance of the reproduced centroid."""
+    sum_err = np.abs(_row_sums(weights, offsets) - 1.0)
+    recon_err = np.linalg.norm(_row_sums(weights[:, None] * positions[ids], offsets)
+                               - centroid, axis=1)
+    return ((np.minimum.reduceat(weights, offsets[:-1]) < -1e-14) | (sum_err > 1e-12),
+            recon_err > 1e-12 * np.maximum(diam, 1.0),
+            np.maximum(sum_err, recon_err))
 
 
 def _violations(*checks) -> list:
@@ -217,8 +229,7 @@ class Mesh:
     arrays are read-only, and the per-entity lists (`face_loops`,
     `face_weights`, `face_edge_*`, `cell_faces`, `cell_signs`,
     `cell_vertices`, `cell_weights`) hold read-only views into flat arrays.
-    Quadrature points and per-cell operators are memoised on the mesh on
-    first use.
+    Face quadrature points are memoised on the mesh on first use.
 
     Construction validates basic structure (index ranges, loop/face counts,
     planarity, positive volumes, convex weights) and reports the lowest
@@ -242,9 +253,7 @@ class Mesh:
             self._build_adjacency()
             self._compute_cell_geometry()
         self.h = float(self.cell_diameter.max()) if self.n_cells else 0.0
-        self._quad_cache = {}
         self._face_quad_cache = {}
-        self._operator_cache = {}
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -424,23 +433,31 @@ class Mesh:
         self._face_quad_cache[key] = result
         return result
 
-    def cell_quadrature(self, cid: int, degree: int):
-        """Points and absolute weights integrating over cell `cid`, using the
-        decomposition into sub-tets (face fan triangle + cell centroid); a
-        face with sign -1 fans from its reversed loop."""
-        key = (cid, degree)
-        cached = self._quad_cache.get(key)
-        if cached is not None:
-            return cached
+    def batched_cell_quadrature(self, degree: int, cells=None):
+        """Points and absolute weights integrating over every cell of `cells`
+        (default: all cells), in that order, plus the CSR offsets of each
+        cell's points.  The rule sums over the sub-tets (face fan triangle +
+        cell centroid) of the cell; a face with sign -1 fans from its reversed
+        loop."""
+        cells = np.arange(self.n_cells) if cells is None else np.asarray(cells, dtype=int)
         ref_pts, ref_w = tet_rule(degree)
-        apex = self.cell_centroid[cid]
-        lo, hi = self._cell_tri_offsets[cid:cid + 2]
-        tris = self.positions[self._cell_tris[lo:hi]]
-        v6 = [np.dot(np.cross(t[1] - apex, t[2] - apex), t[0] - apex) for t in tris]
-        result = (np.vstack([map_tet(ref_pts, np.vstack([t, apex])) for t in tris]),
-                  np.concatenate([ref_w * (v / 6.0) for v in v6]))
-        self._quad_cache[key] = result
-        return result
+        entries, owner = row_entries(self._cell_tri_offsets, cells)
+        tris = self.positions[self._cell_tris[entries]]
+        apex = self.cell_centroid[cells][owner]
+        d = tris - apex[:, None, :]
+        v6 = np.einsum("ij,ij->i", np.cross(d[:, 1], d[:, 2]), d[:, 0])
+        edges = np.concatenate([tris[:, 1:], apex[:, None]], axis=1) - tris[:, :1]
+        points = (tris[:, :1] + ref_pts @ edges).reshape(-1, 3)
+        weights = ((v6 / 6.0)[:, None] * ref_w).ravel()
+        offsets = len(ref_w) * np.concatenate(
+            [[0], np.cumsum(np.diff(self._cell_tri_offsets)[cells])])
+        return points, weights, offsets
+
+    def cell_quadrature(self, cid: int, degree: int):
+        """Points and absolute weights integrating over cell `cid`: the
+        batched rule for that cell alone."""
+        points, weights, _ = self.batched_cell_quadrature(degree, [cid])
+        return points, weights
 
 
 # -- POLYMESH format ---------------------------------------------------------
@@ -653,8 +670,10 @@ def _generate_tet(n: int, perturb: float, seed: int) -> Mesh:
 
 
 def validate_mesh(mesh: Mesh) -> ValidationReport:
-    """Check every mesh invariant; report violations and regularity proxies
-    (min/max of h_K^3/|K| and of face-area/h_K^2)."""
+    """Check every mesh invariant; report violations and proxies: the
+    regularity (min/max of h_K^3/|K| and of face-area/h_K^2), and over all
+    face and cell convex weights the largest deviation from the weight
+    identities (sum 1, centroid reproduced) and the smallest weight."""
     report = ValidationReport()
     v = report.violations
     positions = mesh.positions
@@ -669,8 +688,8 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
     normal = mesh.face_normal
     offset = np.maximum.reduceat(np.abs(np.einsum(
         "ij,ij->i", positions[loops] - mesh.face_centroid[owner], normal[owner])), f_off[:-1])
-    not_convex, off_centroid = _weight_defects(positions, f_off, loops, mesh._face_weights,
-                                               mesh.face_centroid, diam)
+    not_convex, off_centroid, face_dev = _weight_defects(
+        positions, f_off, loops, mesh._face_weights, mesh.face_centroid, diam)
     edge_sum = _row_sums(mesh._edge_lengths[:, None] * mesh._edge_normals, f_off)
     v += _violations(
         (mesh.face_on_boundary != (n_adj == 1),
@@ -700,8 +719,8 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
     surface = _row_sums((mesh.face_area[faces] * mesh.cell_face_signs)[:, None]
                         * normal[faces], c_off)
     v_off, vertex_ids = mesh.cell_vertex_offsets, mesh.cell_vertex_ids
-    not_convex, off_centroid = _weight_defects(positions, v_off, vertex_ids, mesh._cell_weights,
-                                               mesh.cell_centroid, hk)
+    not_convex, off_centroid, cell_dev = _weight_defects(
+        positions, v_off, vertex_ids, mesh._cell_weights, mesh.cell_centroid, hk)
     v += _violations(
         (~good, "cell {}: non-positive volume".format),
         (good & (np.linalg.norm(surface, axis=1) > 1e-12 * hk**2),
@@ -713,6 +732,10 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
         (good & off_centroid, "cell {}: weights do not reproduce the centroid".format),
     )
 
+    report.proxies["weight_deviation_max"] = float(max(face_dev.max(initial=0.0),
+                                                       cell_dev.max(initial=0.0)))
+    report.proxies["weight_min"] = float(min(mesh._face_weights.min(initial=np.inf),
+                                             mesh._cell_weights.min(initial=np.inf)))
     if good.any():
         proxy_cell = hk[good] ** 3 / vol[good]
         proxy_face = (mesh.face_area[faces] / hk[entry_cell] ** 2)[good[entry_cell]]

@@ -6,19 +6,22 @@ coefficient vector always stores all 3*n_v + n_f entries; disabling bubbles
 constrains every bubble to zero through the same masking path used for
 Dirichlet conditions, so that both variants share one assembly code path.
 
-All reconstruction operators are linear in the DOF vector.  Besides the
-point-value operations, this module exposes the matrices of those linear maps
-over the local cell DOFs, which is what the assembly consumes.
+All reconstruction operators are linear in the DOF vector.
+`ReconstructionOperators` builds them for all cells at once as global sparse
+matrices, which the assembly, the norms and the diagnostics consume; the
+per-cell functions are views of the same builder on one cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
-from .mesh import Mesh
+from .mesh import Mesh, row_entries
 
 # space dimension is fixed to 3; the stabilization scales with h_K**(DIM - 2)
 DIM = 3
@@ -104,9 +107,6 @@ class DofMap:
     def n_free(self) -> int:
         return len(self.free_indices)
 
-    def vertex_slice(self, vid: int) -> slice:
-        return slice(3 * vid, 3 * vid + 3)
-
     def bubble_index(self, fid: int) -> int:
         return self.n_vertex_dofs + fid
 
@@ -114,10 +114,7 @@ class DofMap:
         """Global indices of the local cell DOFs: the three components of each
         cell vertex (sorted by vertex id), then one bubble per cell face (in
         cell face order)."""
-        verts = self.mesh.cell_vertices[cid]
-        vdofs = (3 * verts[:, None] + np.arange(3)).ravel()
-        bdofs = self.n_vertex_dofs + self.mesh.cell_faces[cid]
-        return np.concatenate([vdofs, bdofs])
+        return local_dofs(self.mesh, cid)
 
     def zero_function(self) -> "DiscreteFunction":
         return DiscreteFunction(self, np.zeros(self.vector_size))
@@ -135,9 +132,6 @@ class DiscreteFunction:
         if self.values.shape != (self.dofmap.vector_size,):
             raise ValueError("coefficient vector has the wrong length")
 
-    def vertex_value(self, vid: int) -> np.ndarray:
-        return self.values[self.dofmap.vertex_slice(vid)]
-
     def vertex_values(self) -> np.ndarray:
         return self.values[: self.dofmap.n_vertex_dofs].reshape(-1, 3)
 
@@ -146,9 +140,6 @@ class DiscreteFunction:
 
     def bubble_values(self) -> np.ndarray:
         return self.values[self.dofmap.n_vertex_dofs:]
-
-    def copy(self) -> "DiscreteFunction":
-        return DiscreteFunction(self.dofmap, self.values.copy())
 
 
 # -- face operators -----------------------------------------------------------
@@ -183,6 +174,132 @@ def face_displacement(mesh: Mesh, fid: int, func: DiscreteFunction,
 
 # -- cell operators -----------------------------------------------------------
 
+# the symmetric part and the trace of a row-major 3x3 gradient, as maps of
+# its 9 entries
+_SYMMETRIC_PART = 0.5 * (np.eye(9) + np.eye(9)[np.arange(9).reshape(3, 3).T.ravel()])
+_TRACE = np.eye(9)[[0, 4, 8]].sum(axis=0, keepdims=True)
+
+
+def local_dofs(mesh: Mesh, cid: int) -> np.ndarray:
+    """Global indices of the local DOFs of cell `cid` (see `DofMap.cell_dofs`)."""
+    verts = mesh.cell_vertices[cid]
+    vdofs = (3 * verts[:, None] + np.arange(3)).ravel()
+    return np.concatenate([vdofs, 3 * mesh.n_vertices + mesh.cell_faces[cid]])
+
+
+class ReconstructionOperators:
+    """The cell reconstructions of `cells` (default: all cells; k of them) as
+    global sparse linear maps of the DOF vector, of length N = 3*n_v + n_f,
+    built in one batch from the mesh's CSR arrays:
+
+    - `gradient` (9k, N): row 9*c + 3*i + j is d u_i / d x_j on cell cells[c];
+    - `strain` (9k, N) and `divergence` (k, N): row combinations of it;
+    - `mean` (3k, N): the convex-weight average of the cell vertex values;
+    - `fit` (3m, N), one row triple per cell vertex s (m pairs in all):
+      v_s - P(x_s), with P the affine cell reconstruction;
+
+    with the scalings `volume` (k,), `fit_scale` (3m,), the h_K**(DIM-2) of
+    the cell of each fit row, and `bubble_scale` (N,), zero on vertex DOFs
+    and on each bubble the sum of h_K**(DIM-2) over the cells of its face.
+    Nothing is stored on the mesh.
+    """
+
+    def __init__(self, mesh: Mesh, cells=None):
+        self.mesh = mesh
+        self.cells = cells = (np.arange(mesh.n_cells) if cells is None
+                              else np.asarray(cells, dtype=int))
+        k = len(cells)
+        n_vdofs = 3 * mesh.n_vertices
+        self.n_dofs = n_vdofs + mesh.n_faces
+        self.volume = mesh.cell_volume[cells]
+        ij = np.arange(9).reshape(3, 3)
+
+        # |f|/|K| (face average + bubble * normal) tensor outward normal,
+        # summed over the faces of the cell
+        entries, cell_of_face = row_entries(mesh.cell_face_offsets, cells)
+        faces = mesh.cell_face_ids[entries]
+        n_out = mesh.cell_face_signs[entries, None] * mesh.face_normal[faces]
+        coeff = mesh.face_area[faces] / self.volume[cell_of_face]
+        loop, face_of_vertex = row_entries(mesh.face_loop_offsets, faces)
+        weight = coeff[face_of_vertex] * mesh._face_weights[loop]
+        vertex_vals = weight[:, None, None] * n_out[face_of_vertex, None, :]
+        bubble_vals = coeff[:, None, None] * np.einsum("fi,fj->fij", mesh.face_normal[faces],
+                                                        n_out)
+        rows = np.concatenate([(9 * cell_of_face[face_of_vertex, None, None] + ij).ravel(),
+                               (9 * cell_of_face[:, None, None] + ij).ravel()])
+        cols = np.concatenate([(3 * mesh.face_loop_vertices[loop, None, None] + ij // 3).ravel(),
+                               np.repeat(n_vdofs + faces, 9)])
+        vals = np.concatenate([np.broadcast_to(vertex_vals, (len(loop), 3, 3)).ravel(),
+                               bubble_vals.ravel()])
+        self.gradient = sp.csr_matrix((vals, (rows, cols)), shape=(9 * k, self.n_dofs))
+
+        # per cell vertex s and component j: the DOF of v_s,j and the mean row
+        entries, cell_of_vertex = row_entries(mesh.cell_vertex_offsets, cells)
+        component = np.tile(np.arange(3), len(entries))
+        self._vertex_dof = 3 * np.repeat(mesh.cell_vertex_ids[entries], 3) + component
+        self._mean_row = 3 * np.repeat(cell_of_vertex, 3) + component
+        self._offsets = (mesh.positions[mesh.cell_vertex_ids[entries]]
+                         - mesh.cell_centroid[cells][cell_of_vertex])
+        self.mean = sp.csr_matrix(
+            (np.repeat(mesh._cell_weights[entries], 3), (self._mean_row, self._vertex_dof)),
+            shape=(3 * k, self.n_dofs))
+
+        scale = mesh.cell_diameter[cells] ** (DIM - 2)
+        self.fit_scale = np.repeat(scale[cell_of_vertex], 3)
+        self.bubble_scale = np.zeros(self.n_dofs)
+        self.bubble_scale[n_vdofs:] = np.bincount(faces, weights=scale[cell_of_face],
+                                                  minlength=mesh.n_faces)
+
+    def _per_cell(self, block: np.ndarray) -> sp.csr_matrix:
+        """Rows combining the 9 gradient rows of each cell by `block`."""
+        return sp.kron(sp.identity(len(self.cells)), block, format="csr") @ self.gradient
+
+    @cached_property
+    def strain(self) -> sp.csr_matrix:
+        return self._per_cell(_SYMMETRIC_PART)
+
+    @cached_property
+    def divergence(self) -> sp.csr_matrix:
+        return self._per_cell(_TRACE)
+
+    @cached_property
+    def fit(self) -> sp.csr_matrix:
+        n_rows, n_means = len(self._vertex_dof), 3 * len(self.cells)
+        rows = np.arange(n_rows)
+        pick = sp.csr_matrix((np.ones(n_rows), (rows, self._vertex_dof)),
+                             shape=(n_rows, self.n_dofs))
+        mean_at = sp.csr_matrix((np.ones(n_rows), (rows, self._mean_row)),
+                                shape=(n_rows, n_means))
+        # (x_s - c_K) . grad P_j: gradient row 9c + 3j + l = 3*(3c + j) + l
+        # weighted by (x_s - c_K)_l
+        gradient_at = sp.csr_matrix(
+            (np.repeat(self._offsets, 3, axis=0).ravel(),
+             (np.repeat(rows, 3), (3 * self._mean_row[:, None] + np.arange(3)).ravel())),
+            shape=(n_rows, 3 * n_means))
+        return (pick - gradient_at @ self.gradient - mean_at @ self.mean).tocsr()
+
+    def stabilization(self) -> sp.csr_matrix:
+        """Matrix of S(u, v): the vertex-fit penalty plus the bubble penalty,
+        both scaled by h_K**(DIM-2)."""
+        return self.fit.T @ sp.diags(self.fit_scale) @ self.fit + sp.diags(self.bubble_scale)
+
+    def stabilization_energy(self, values: np.ndarray) -> float:
+        """S(v, v), evaluated in factored form (vertex-fit residual and bubble
+        values squared after subtraction) so that near-kernel vectors give
+        exact zeros instead of cancellation noise."""
+        return float(self.fit_scale @ (self.fit @ values) ** 2
+                     + self.bubble_scale @ values**2)
+
+    def cell_integrals(self, field: Callable, quad_degree: int) -> np.ndarray:
+        """Integral of `field` over each cell, from one evaluation of the
+        field at the batched cell quadrature points."""
+        points, weights, offsets = self.mesh.batched_cell_quadrature(quad_degree, self.cells)
+        values = np.asarray(field(points), dtype=float)
+        integrate = sp.csr_matrix((weights, np.arange(len(weights)), offsets),
+                                  shape=(len(self.cells), len(weights)))
+        return (integrate @ values.reshape(len(weights), -1)).reshape(
+            (len(self.cells),) + values.shape[1:])
+
 
 @dataclass(frozen=True)
 class CellReconstruction:
@@ -202,74 +319,27 @@ class CellReconstruction:
 
 def cell_gradient_operator(mesh: Mesh, cid: int) -> np.ndarray:
     """Matrix (9, n_loc) mapping local cell DOFs to the row-major entries of
-    the constant cell gradient.  Cached per mesh; do not mutate the result."""
-    cache = mesh._operator_cache
-    cached = cache.get(("grad", cid))
-    if cached is not None:
-        return cached
-    verts = mesh.cell_vertices[cid]
-    vpos = {v: i for i, v in enumerate(verts)}
-    n_loc = 3 * len(verts) + len(mesh.cell_faces[cid])
-    op = np.zeros((9, n_loc))
-    vol = mesh.cell_volume[cid]
-    for fpos, (fid, sign) in enumerate(zip(mesh.cell_faces[cid], mesh.cell_signs[cid])):
-        area = mesh.face_area[fid]
-        n_out = sign * mesh.face_normal[fid]
-        coeff = area / vol
-        for s, w in zip(mesh.face_loops[fid], mesh.face_weights[fid]):
-            col = 3 * vpos[s]
-            for i in range(3):
-                op[3 * i: 3 * i + 3, col + i] += coeff * w * n_out
-        bubble_col = 3 * len(verts) + fpos
-        op[:, bubble_col] += coeff * np.outer(mesh.face_normal[fid], n_out).ravel()
-    op.flags.writeable = False
-    cache[("grad", cid)] = op
-    return op
+    the constant cell gradient."""
+    return ReconstructionOperators(mesh, [cid]).gradient[:, local_dofs(mesh, cid)].toarray()
 
 
 def strain_operator(grad_op: np.ndarray) -> np.ndarray:
     """Symmetrize a (9, n_loc) gradient operator."""
-    g = grad_op.reshape(3, 3, -1)
-    return (0.5 * (g + g.transpose(1, 0, 2))).reshape(9, -1)
-
-
-def divergence_operator(grad_op: np.ndarray) -> np.ndarray:
-    """Row (n_loc,) mapping local DOFs to the cell divergence."""
-    return grad_op[0] + grad_op[4] + grad_op[8]
-
-
-def cell_mean_operator(mesh: Mesh, cid: int) -> np.ndarray:
-    """Matrix (3, n_loc) mapping local DOFs to the weighted vertex average.
-    Cached per mesh; do not mutate the result."""
-    cache = mesh._operator_cache
-    cached = cache.get(("mean", cid))
-    if cached is not None:
-        return cached
-    verts = mesh.cell_vertices[cid]
-    n_loc = 3 * len(verts) + len(mesh.cell_faces[cid])
-    op = np.zeros((3, n_loc))
-    for i, w in enumerate(mesh.cell_weights[cid]):
-        op[:, 3 * i: 3 * i + 3] = w * np.eye(3)
-    op.flags.writeable = False
-    cache[("mean", cid)] = op
-    return op
+    return _SYMMETRIC_PART @ grad_op
 
 
 def cell_reconstructions(mesh: Mesh, cid: int,
                          func: DiscreteFunction) -> CellReconstruction:
     """Gradient, symmetric strain, divergence, vertex-average displacement and
     the affine displacement reconstruction of a cell."""
-    dofs = func.dofmap.cell_dofs(cid)
-    local = func.values[dofs]
-    grad_op = cell_gradient_operator(mesh, cid)
-    grad = (grad_op @ local).reshape(3, 3)
+    ops = ReconstructionOperators(mesh, [cid])
+    grad = (ops.gradient @ func.values).reshape(3, 3)
     strain = 0.5 * (grad + grad.T)
-    mean = cell_mean_operator(mesh, cid) @ local
     return CellReconstruction(
         gradient=grad,
         strain=strain,
         divergence=float(np.trace(strain)),
-        mean_value=mean,
+        mean_value=ops.mean @ func.values,
         centroid=mesh.cell_centroid[cid],
     )
 
@@ -280,62 +350,16 @@ def stress(strain: np.ndarray, divergence: float,
     return 2.0 * material.mu * strain + material.lam * divergence * np.eye(3)
 
 
-def displacement_fit_operator(mesh: Mesh, cid: int) -> np.ndarray:
-    """Matrix (3*n_vK, n_loc) of the map  DOFs -> (v_s - P(x_s))_s  where P is
-    the affine cell reconstruction evaluated at the cell vertices.  Cached per
-    mesh; do not mutate the result."""
-    cache = mesh._operator_cache
-    cached = cache.get(("fit", cid))
-    if cached is not None:
-        return cached
-    verts = mesh.cell_vertices[cid]
-    grad_op = cell_gradient_operator(mesh, cid)
-    mean_op = cell_mean_operator(mesh, cid)
-    n_loc = grad_op.shape[1]
-    op = np.zeros((3 * len(verts), n_loc))
-    centroid = mesh.cell_centroid[cid]
-    g = grad_op.reshape(3, 3, n_loc)
-    for i, vid in enumerate(verts):
-        rows = slice(3 * i, 3 * i + 3)
-        op[rows, 3 * i: 3 * i + 3] = np.eye(3)
-        dx = mesh.positions[vid] - centroid
-        op[rows] -= np.einsum("jkl,k->jl", g, dx) + mean_op
-    op.flags.writeable = False
-    cache[("fit", cid)] = op
-    return op
-
-
 def stabilization_local(mesh: Mesh, cid: int, dofmap: DofMap) -> np.ndarray:
     """Local stabilization Gram matrix over the cell DOFs: the vertex-fit
     penalty plus the bubble penalty, both scaled by h_K**(DIM-2)."""
-    fit = displacement_fit_operator(mesh, cid)
-    hk = mesh.cell_diameter[cid]
-    scale = hk ** (DIM - 2)
-    n_loc = fit.shape[1]
-    mat = scale * (fit.T @ fit)
-    n_vdofs = 3 * len(mesh.cell_vertices[cid])
-    mat[np.arange(n_vdofs, n_loc), np.arange(n_vdofs, n_loc)] += scale
-    return mat
+    dofs = dofmap.cell_dofs(cid)
+    return ReconstructionOperators(mesh, [cid]).stabilization()[dofs][:, dofs].toarray()
 
 
-def cell_stabilization_energy(mesh: Mesh, cid: int,
-                              func: DiscreteFunction) -> float:
-    """S_K(v, v), evaluated in factored form (vertex-fit residual and bubble
-    values squared after subtraction) so that near-kernel vectors give exact
-    zeros instead of cancellation noise."""
-    local = func.values[func.dofmap.cell_dofs(cid)]
-    fit_resid = displacement_fit_operator(mesh, cid) @ local
-    bubbles = local[3 * len(mesh.cell_vertices[cid]):]
-    scale = mesh.cell_diameter[cid] ** (DIM - 2)
-    return float(scale * (fit_resid @ fit_resid + bubbles @ bubbles))
-
-
-def stabilization_energy(mesh: Mesh, func: DiscreteFunction,
-                         cells: Iterable[int] | None = None) -> float:
-    """Global (or per-cell-subset) stabilization energy S(v, v)."""
-    if cells is None:
-        cells = range(mesh.n_cells)
-    return float(sum(cell_stabilization_energy(mesh, cid, func) for cid in cells))
+def stabilization_energy(mesh: Mesh, func: DiscreteFunction) -> float:
+    """Global stabilization energy S(v, v)."""
+    return ReconstructionOperators(mesh).stabilization_energy(func.values)
 
 
 # -- interpolation ------------------------------------------------------------
