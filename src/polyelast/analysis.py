@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .assembly import BoundaryConditions, assemble
-from .mesh import DEFAULT_SEED, Mesh, generate_structured_mesh, parse_polymesh
+from .mesh import DEFAULT_SEED, Mesh, _integrals, generate_structured_mesh, parse_polymesh
 from .solver import SolverConfig, solve_spd
 from .space import (
     DiscreteFunction,
@@ -97,7 +97,8 @@ class ManufacturedCase:
         return out
 
     def traction(self, points: np.ndarray, normal: np.ndarray) -> np.ndarray:
-        return self.stress_field(points) @ np.asarray(normal, dtype=float)
+        """Traction at `points` for one normal (3,) or one per point (n, 3)."""
+        return (self.stress_field(points) @ np.asarray(normal, dtype=float)[..., None])[..., 0]
 
     def boundary_conditions(self, mesh: Mesh) -> BoundaryConditions:
         return BoundaryConditions(
@@ -227,8 +228,9 @@ def discrete_norms(mesh: Mesh, func: DiscreteFunction,
 def exact_strain_norm(mesh: Mesh, strain_fn: Callable,
                       quad_degree: int = 4) -> float:
     """L2 norm of an exact strain field over the mesh, by cell quadrature."""
-    points, weights, _ = mesh.batched_cell_quadrature(quad_degree)
-    return float(np.sqrt(weights @ np.sum(strain_fn(points) ** 2, axis=(1, 2))))
+    squares = _integrals(mesh, "cell", quad_degree,
+                         lambda points, at: np.sum(strain_fn(points) ** 2, axis=(1, 2)))
+    return float(np.sqrt(squares.sum()))
 
 
 def relative_error(mesh: Mesh, solution: DiscreteFunction,
@@ -261,11 +263,10 @@ def consistency_error(mesh: Mesh, gradient_fn: Callable,
     exact gradient and the piecewise-constant reconstruction, plus the
     stabilization energy, all under a square root."""
     ops = ReconstructionOperators(mesh)
-    points, weights, offsets = mesh.batched_cell_quadrature(quad_degree)
     grad = (ops.gradient @ interpolant.values).reshape(-1, 3, 3)
-    diff = gradient_fn(points) - np.repeat(grad, np.diff(offsets), axis=0)
-    total = weights @ np.sum(diff**2, axis=(1, 2))
-    return float(np.sqrt(total + ops.stabilization_energy(interpolant.values)))
+    squares = _integrals(mesh, "cell", quad_degree, lambda points, at: np.sum(
+        (gradient_fn(points) - grad[at]) ** 2, axis=(1, 2)))
+    return float(np.sqrt(squares.sum() + ops.stabilization_energy(interpolant.values)))
 
 
 def adjoint_residual(mesh: Mesh, stress_fn: Callable, force_fn: Callable,

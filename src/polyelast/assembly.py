@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .mesh import Mesh
+from .mesh import Mesh, _integrals, row_entries
 from .space import (
     DofMap,
     MaterialParams,
@@ -45,8 +45,8 @@ class BoundaryConditions:
     `dirichlet_faces` is a boolean mask over all faces selecting the Dirichlet
     part of the boundary; the remaining boundary faces are Neumann.
     `dirichlet_data` maps points (n,3) to displacements (n,3) (None = zero);
-    `neumann_data` maps (points, outward_unit_normal) to tractions (None =
-    traction-free).
+    `neumann_data` maps points (n,3) and the outward unit normals (n,3) at
+    them to tractions (n,3) (None = traction-free).
     """
 
     dirichlet_faces: np.ndarray
@@ -132,6 +132,36 @@ def local_system(mesh: Mesh, cid: int, material: MaterialParams, dofmap: DofMap,
             local_load(mesh, cid, body_force, quad_degree))
 
 
+def _neumann_loads(mesh: Mesh, faces: np.ndarray, traction: Callable, dofmap: DofMap,
+                   quad_degree: int):
+    """Surface-load contributions of the boundary faces `faces`: the vertex
+    DOFs of their loops, face by face, then their bubbles, with the values."""
+    normal = mesh.face_normal[faces]
+    outward = mesh.face_cell_signs[faces, :1] * normal
+    centroid = mesh.face_centroid[faces]
+
+    def moments(points, at):
+        g = np.asarray(traction(points, outward[at]), dtype=float)
+        return g[:, :, None] * np.column_stack([np.ones(len(points)),
+                                                points - centroid[at]])[:, None, :]
+
+    # per face the integral of g and G = int g tensor (x - centroid)
+    integrals = _integrals(mesh, "face", quad_degree, moments, faces)
+    g_total, g_moment = integrals[:, :, 0], integrals[:, :, 1:]
+    # int g . (grad_sigma v)(x - centroid) = G : grad_sigma v, and grad_sigma
+    # gives each edge's two endpoints |e| / (2 |f|) times its outward normal
+    loop, face = row_entries(mesh.face_loop_offsets, faces)
+    edge = ((mesh._edge_lengths[loop] / (2.0 * mesh.face_area[faces][face]))[:, None]
+            * np.einsum("eij,ej->ei", g_moment[face], mesh._edge_normals[loop]))
+    vertex_loads = mesh._face_weights[loop, None] * g_total[face] + edge
+    vertex_loads[np.arange(len(loop)) + mesh._loop_next[loop] - loop] += edge
+    vertices = mesh.face_loop_vertices[loop]
+    dofs = np.concatenate([(3 * vertices[:, None] + np.arange(3)).ravel(),
+                           dofmap.n_vertex_dofs + faces])
+    values = np.concatenate([vertex_loads.ravel(), np.einsum("fi,fi->f", g_total, normal)])
+    return dofs, values
+
+
 def neumann_load(mesh: Mesh, fid: int, traction: Callable, dofmap: DofMap,
                  quad_degree: int = 4):
     """Surface-load contributions of one Neumann face.
@@ -142,28 +172,7 @@ def neumann_load(mesh: Mesh, fid: int, traction: Callable, dofmap: DofMap,
     """
     if not mesh.face_on_boundary[fid]:
         raise AssemblyError(f"face {fid} is not a boundary face")
-    loop = mesh.face_loops[fid]
-    normal = mesh.face_normal[fid]
-    outward = mesh.boundary_outward_normal(fid)
-    pts, wts = mesh.face_quadrature(fid, quad_degree)
-    g = np.asarray(traction(pts, outward), dtype=float)
-    g_total = wts @ g
-    # int g . (grad_sigma v)(x - centroid) = G : grad_sigma v with
-    # G = int g tensor (x - centroid)
-    g_moment = (g * wts[:, None]).T @ (pts - mesh.face_centroid[fid])
-    area = mesh.face_area[fid]
-    m = len(loop)
-    vertex_loads = np.outer(mesh.face_weights[fid], g_total)
-    edge_n = mesh.face_edge_normals[fid]
-    edge_l = mesh.face_edge_lengths[fid]
-    for e in range(m):
-        contrib = (edge_l[e] / (2.0 * area)) * (g_moment @ edge_n[e])
-        vertex_loads[e] += contrib
-        vertex_loads[(e + 1) % m] += contrib
-    dofs = np.concatenate([(3 * loop[:, None] + np.arange(3)).ravel(),
-                           [dofmap.bubble_index(fid)]])
-    values = np.concatenate([vertex_loads.ravel(), [(g @ normal) @ wts]])
-    return dofs, values
+    return _neumann_loads(mesh, np.array([fid]), traction, dofmap, quad_degree)
 
 
 def assemble_matrix(mesh: Mesh, dofmap: DofMap,
@@ -178,11 +187,10 @@ def assemble_load(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions,
     load = np.zeros(dofmap.vector_size)
     if body_force is not None:
         load += _volume_load(ReconstructionOperators(mesh), body_force, quad_degree)
-    if bcs.neumann_data is not None:
-        for fid in bcs.neumann_face_ids(mesh):
-            dofs, values = neumann_load(mesh, fid, bcs.neumann_data, dofmap,
-                                        quad_degree)
-            load[dofs] += values
+    faces = bcs.neumann_face_ids(mesh)
+    if bcs.neumann_data is not None and len(faces):
+        dofs, values = _neumann_loads(mesh, faces, bcs.neumann_data, dofmap, quad_degree)
+        load += np.bincount(dofs, weights=values, minlength=len(load))
     return load
 
 

@@ -24,15 +24,18 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
-from .quadrature import map_triangle, tet_rule, triangle_rule
+from .quadrature import tet_rule, triangle_rule
 
 PLANARITY_RTOL = 1e-9
 DEGENERATE_AREA_RTOL = 1e-14
 DEFAULT_SEED = 12345
+# the most quadrature points a field is evaluated at in one call (see
+# `_integrals`), so that quadrature transients do not grow with the mesh
+_CHUNK_POINTS = 1 << 15
 
 
 class MeshError(Exception):
@@ -229,7 +232,8 @@ class Mesh:
     arrays are read-only, and the per-entity lists (`face_loops`,
     `face_weights`, `face_edge_*`, `cell_faces`, `cell_signs`,
     `cell_vertices`, `cell_weights`) hold read-only views into flat arrays.
-    Face quadrature points are memoised on the mesh on first use.
+    The mesh memoises nothing: quadrature rules are built on demand, in
+    batches over faces or cells.
 
     Construction validates basic structure (index ranges, loop/face counts,
     planarity, positive volumes, convex weights) and reports the lowest
@@ -253,7 +257,6 @@ class Mesh:
             self._build_adjacency()
             self._compute_cell_geometry()
         self.h = float(self.cell_diameter.max()) if self.n_cells else 0.0
-        self._face_quad_cache = {}
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -264,8 +267,6 @@ class Mesh:
         self.face_edge_lengths = _rows(self._edge_lengths, f_off)
         self.face_edge_midpoints = _rows(self._edge_midpoints, f_off)
         self.face_edge_normals = _rows(self._edge_normals, f_off)
-        self._face_tri_signed = _rows(self._tri_signed,
-                                      f_off - 2 * np.arange(self.n_faces + 1))
         self.cell_faces = _rows(self.cell_face_ids, c_off)
         self.cell_signs = _rows(self.cell_face_signs, c_off)
         self.cell_vertices = _rows(self.cell_vertex_ids, v_off)
@@ -337,8 +338,11 @@ class Mesh:
         self.face_normal = normal
         self.face_area = area
         self.face_centroid = centroid
+        self._face_tris = tris
+        self._face_tri_offsets = tri_off
         self._tri_signed = tri_signed
         self._face_weights = weights
+        self._loop_next = nxt
         self._edge_lengths = lengths
         self._edge_midpoints = 0.5 * (pos + pos[nxt])
         self._edge_normals = np.cross(tangents / lengths[:, None], normal[owner])
@@ -419,19 +423,27 @@ class Mesh:
 
     # -- quadrature ---------------------------------------------------------
 
-    def face_quadrature(self, fid: int, degree: int):
-        """Points and absolute weights integrating over face `fid`."""
-        key = (fid, degree)
-        cached = self._face_quad_cache.get(key)
-        if cached is not None:
-            return cached
+    def batched_face_quadrature(self, degree: int, faces=None):
+        """Points and absolute weights integrating over every face of `faces`
+        (default: all faces), in that order, plus the CSR offsets of each
+        face's points.  The rule sums over the fan triangles
+        (loop[0], loop[t+1], loop[t+2]) of the face loop."""
+        faces = np.arange(self.n_faces) if faces is None else np.asarray(faces, dtype=int)
         ref_pts, ref_w = triangle_rule(degree)
-        pos = self.positions[self.face_loops[fid]]
-        result = (np.vstack([map_triangle(ref_pts, pos[0], pos[t + 1], pos[t + 2])
-                             for t in range(len(pos) - 2)]),
-                  np.concatenate([ref_w * s for s in self._face_tri_signed[fid]]))
-        self._face_quad_cache[key] = result
-        return result
+        entries, _ = row_entries(self._face_tri_offsets, faces)
+        a, b, c = (self.positions[self._face_tris[entries, k], None] for k in range(3))
+        x, y = ref_pts[:, :1], ref_pts[:, 1:]
+        points = (a + x * (b - a) + y * (c - a)).reshape(-1, 3)
+        weights = (self._tri_signed[entries, None] * ref_w).ravel()
+        offsets = len(ref_w) * np.concatenate(
+            [[0], np.cumsum(np.diff(self._face_tri_offsets)[faces])])
+        return points, weights, offsets
+
+    def face_quadrature(self, fid: int, degree: int):
+        """Points and absolute weights integrating over face `fid`: the
+        batched rule for that face alone."""
+        points, weights, _ = self.batched_face_quadrature(degree, [fid])
+        return points, weights
 
     def batched_cell_quadrature(self, degree: int, cells=None):
         """Points and absolute weights integrating over every cell of `cells`
@@ -458,6 +470,34 @@ class Mesh:
         batched rule for that cell alone."""
         points, weights, _ = self.batched_cell_quadrature(degree, [cid])
         return points, weights
+
+
+def _integrals(mesh: Mesh, kind: str, degree: int, integrand: Callable,
+               ids=None) -> np.ndarray:
+    """Integral over every face (`kind` "face") or cell (`kind` "cell") of
+    `ids` (default: all of them) of `integrand(points, at)`, where `at` is the
+    position in `ids` of the face or cell of each point, by the batched rule
+    of that degree.  The integrand is called on runs of consecutive entities
+    with at most `_CHUNK_POINTS` points in all (or one entity, where it alone
+    has more), so the memory it takes does not grow with the mesh."""
+    if kind == "face":
+        rule, simplices, ref = mesh.batched_face_quadrature, mesh._face_tri_offsets, triangle_rule
+    else:
+        rule, simplices, ref = mesh.batched_cell_quadrature, mesh._cell_tri_offsets, tet_rule
+    ids = np.arange(len(simplices) - 1) if ids is None else np.asarray(ids, dtype=int)
+    ends = len(ref(degree)[1]) * np.concatenate([[0], np.cumsum(np.diff(simplices)[ids])])
+    parts, lo = [], 0
+    while lo < len(ids):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _CHUNK_POINTS, "right")) - 1)
+        points, weights, offsets = rule(degree, ids[lo:hi])
+        values = np.asarray(integrand(points, lo + _owner(offsets)), dtype=float)
+        flat = values.reshape(len(weights), -1)
+        sums = np.empty((hi - lo, flat.shape[1]))
+        for rows, entries in _groups(offsets):
+            sums[rows] = (weights[entries][:, None, :] @ flat[entries])[:, 0]
+        parts.append(sums.reshape((hi - lo,) + values.shape[1:]))
+        lo = hi
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 # -- POLYMESH format ---------------------------------------------------------

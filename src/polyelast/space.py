@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, row_entries
+from .mesh import Mesh, _integrals, row_entries
 
 # space dimension is fixed to 3; the stabilization scales with h_K**(DIM - 2)
 DIM = 3
@@ -145,28 +145,46 @@ class DiscreteFunction:
 # -- face operators -----------------------------------------------------------
 
 
+def _face_averages(mesh: Mesh, vertex_values: np.ndarray, faces) -> np.ndarray:
+    """Convex-weight average of `vertex_values` over each face of `faces`."""
+    loop, face = row_entries(mesh.face_loop_offsets, faces)
+    average = sp.csr_matrix((mesh._face_weights[loop], (face, mesh.face_loop_vertices[loop])),
+                            shape=(len(faces), mesh.n_vertices))
+    return average @ vertex_values
+
+
+def face_reconstructions(mesh: Mesh, func: DiscreteFunction, faces=None):
+    """Per face of `faces` (default: all faces; k of them) the affine face
+    reconstruction: the convex-weight average (k, 3) of the vertex
+    displacements, and the constant tangential gradient (k, 3, 3), the sum
+    over the edge loop of |e| (average of the two endpoint displacements)
+    tensor the in-plane outward edge normal, divided by the face area."""
+    faces = np.arange(mesh.n_faces) if faces is None else np.asarray(faces, dtype=int)
+    vertex_values = func.vertex_values()
+    loop, face = row_entries(mesh.face_loop_offsets, faces)
+    vals = vertex_values[mesh.face_loop_vertices[loop]]
+    nxt = np.arange(len(loop)) + mesh._loop_next[loop] - loop
+    weighted = mesh._edge_lengths[loop, None] * (0.5 * (vals + vals[nxt]))
+    gradient = np.add.reduceat(weighted[:, :, None] * mesh._edge_normals[loop, None, :],
+                               np.flatnonzero(np.diff(face, prepend=-1)))
+    return (_face_averages(mesh, vertex_values, faces),
+            gradient / mesh.face_area[faces, None, None])
+
+
 def face_average(mesh: Mesh, fid: int, func: DiscreteFunction) -> np.ndarray:
     """Convex-weight average of the vertex displacements of a face."""
-    loop = mesh.face_loops[fid]
-    return mesh.face_weights[fid] @ func.vertex_values()[loop]
+    return face_reconstructions(mesh, func, [fid])[0][0]
 
 
 def face_gradient(mesh: Mesh, fid: int, func: DiscreteFunction) -> np.ndarray:
-    """Constant 3x3 tangential gradient on a face: sum over the edge loop of
-    |e| (average of the two endpoint displacements) tensor the in-plane
-    outward edge normal, divided by the face area."""
-    loop = mesh.face_loops[fid]
-    vals = func.vertex_values()[loop]
-    avg = 0.5 * (vals + np.roll(vals, -1, axis=0))
-    weighted = mesh.face_edge_lengths[fid][:, None] * avg
-    return weighted.T @ mesh.face_edge_normals[fid] / mesh.face_area[fid]
+    """Constant 3x3 tangential gradient on a face (see `face_reconstructions`)."""
+    return face_reconstructions(mesh, func, [fid])[1][0]
 
 
 def face_displacement(mesh: Mesh, fid: int, func: DiscreteFunction,
                       points: np.ndarray) -> np.ndarray:
     """Affine displacement reconstruction on a face, evaluated at points."""
-    grad = face_gradient(mesh, fid, func)
-    avg = face_average(mesh, fid, func)
+    (avg,), (grad,) = face_reconstructions(mesh, func, [fid])
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = (pts - mesh.face_centroid[fid]) @ grad.T + avg
     return out if np.ndim(points) > 1 else out[0]
@@ -291,14 +309,10 @@ class ReconstructionOperators:
                      + self.bubble_scale @ values**2)
 
     def cell_integrals(self, field: Callable, quad_degree: int) -> np.ndarray:
-        """Integral of `field` over each cell, from one evaluation of the
-        field at the batched cell quadrature points."""
-        points, weights, offsets = self.mesh.batched_cell_quadrature(quad_degree, self.cells)
-        values = np.asarray(field(points), dtype=float)
-        integrate = sp.csr_matrix((weights, np.arange(len(weights)), offsets),
-                                  shape=(len(self.cells), len(weights)))
-        return (integrate @ values.reshape(len(weights), -1)).reshape(
-            (len(self.cells),) + values.shape[1:])
+        """Integral of `field` over each cell, by the batched cell quadrature
+        evaluated in chunks of cells."""
+        return _integrals(self.mesh, "cell", quad_degree, lambda points, at: field(points),
+                          self.cells)
 
 
 @dataclass(frozen=True)
@@ -371,26 +385,13 @@ def face_bubble_moments(mesh: Mesh, field: Callable, face_ids: np.ndarray,
     """Bubble DOFs of the interpolant on the given faces: the face-mean normal
     component of the field minus the normal component of the weighted vertex
     average."""
-    out = np.zeros(len(face_ids))
-    if len(face_ids) == 0:
-        return out
-    pts_all = []
-    slices = []
-    start = 0
-    for fid in face_ids:
-        pts, wts = mesh.face_quadrature(fid, quad_degree)
-        pts_all.append(pts)
-        slices.append((start, start + len(wts), wts))
-        start += len(wts)
-    values = np.asarray(field(np.vstack(pts_all)), dtype=float)
-    for k, fid in enumerate(face_ids):
-        lo, hi, wts = slices[k]
-        normal = mesh.face_normal[fid]
-        mean_flux = (values[lo:hi] @ normal) @ wts / mesh.face_area[fid]
-        loop = mesh.face_loops[fid]
-        avg = mesh.face_weights[fid] @ vertex_values[loop]
-        out[k] = mean_flux - avg @ normal
-    return out
+    face_ids = np.asarray(face_ids, dtype=int)
+    normal = mesh.face_normal[face_ids]
+    flux = _integrals(mesh, "face", quad_degree,
+                      lambda points, at: np.einsum("pi,pi->p", field(points), normal[at]),
+                      face_ids)
+    average = _face_averages(mesh, vertex_values, face_ids)
+    return flux / mesh.face_area[face_ids] - np.einsum("fi,fi->f", average, normal)
 
 
 def interpolate(mesh: Mesh, dofmap: DofMap, field: Callable,

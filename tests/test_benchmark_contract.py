@@ -42,3 +42,17 @@ def test_traced_commands_record_the_expected_spans(perfbench, tmp_path, workload
         assert polyelast.cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
     names = {span["name"] for span in tracer.spans}
     assert run.EXPECTED_SPANS[workload] <= names, sorted(names)
+
+
+def test_traced_polytopal_commands_record_the_expected_spans(perfbench, tmp_path):
+    tracing, run = perfbench
+    mesh_path = tmp_path / "hex2.polymesh"
+    mesh_path.write_text(polyelast.write_polymesh(polyelast.generate_structured_mesh("hex", 2)))
+    tracer = tracing.Tracer()
+    with tracer.patched(tracing.layer_targets(polyelast)):
+        assert polyelast.cli.main(["check", "--mesh", str(mesh_path)]) == 0
+        assert polyelast.cli.main(["solve", "--case", "example2", "--mesh", str(mesh_path),
+                                   "--lambda", "1e6", "--out", str(tmp_path / "out.csv"),
+                                   "--vtk", str(tmp_path / "out.vtk")]) == 0
+    names = {span["name"] for span in tracer.spans}
+    assert run.EXPECTED_SPANS["polytopal"] <= names, sorted(names)
