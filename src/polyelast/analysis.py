@@ -53,14 +53,14 @@ def _trig_parts(points: np.ndarray, k: float):
             np.cos(k * x), np.cos(k * y), np.cos(k * z))
 
 
-def _field_a(points: np.ndarray, k: float) -> np.ndarray:
-    sx, sy, sz, cx, cy, cz = _trig_parts(points, k)
+def _field_a(parts: tuple) -> np.ndarray:
+    sx, sy, sz, cx, cy, cz = parts
     return np.column_stack([-2.0 * sx * cy * cz, cx * sy * cz, cx * cy * sz])
 
 
-def _grad_a(points: np.ndarray, k: float) -> np.ndarray:
-    sx, sy, sz, cx, cy, cz = _trig_parts(points, k)
-    g = np.empty((len(points), 3, 3))
+def _grad_a(parts: tuple, k: float) -> np.ndarray:
+    sx, sy, sz, cx, cy, cz = parts
+    g = np.empty((len(sx), 3, 3))
     g[:, 0, 0] = -2.0 * k * cx * cy * cz
     g[:, 0, 1] = 2.0 * k * sx * sy * cz
     g[:, 0, 2] = 2.0 * k * sx * cy * sz
@@ -136,12 +136,12 @@ def manufactured_case(name: str, lam: float, mu: float = 1.0,
         factor = 3.0 * k * k * mu
 
         def force(points):
-            return factor * _field_a(points, k)
+            return factor * _field_a(_trig_parts(points, k))
 
         return ManufacturedCase(
             name, material,
-            displacement=lambda p: _field_a(p, k),
-            gradient=lambda p: _grad_a(p, k),
+            displacement=lambda p: _field_a(_trig_parts(p, k)),
+            gradient=lambda p: _grad_a(_trig_parts(p, k), k),
             divergence=lambda p: np.zeros(len(p)),
             body_force=force,
             dirichlet_faces=_all_boundary,
@@ -152,22 +152,22 @@ def manufactured_case(name: str, lam: float, mu: float = 1.0,
             raise ValueError(f"{name} requires lambda > 0")
 
         def disp(points):
-            sines = np.sin(k * points)
-            return _field_a(points, k) + sines / lam
+            parts = _trig_parts(points, k)
+            return _field_a(parts) + np.column_stack(parts[:3]) / lam
 
         def grad(points):
-            g = _grad_a(points, k)
-            cosines = np.cos(k * points)
-            g[:, np.arange(3), np.arange(3)] += (k / lam) * cosines
+            parts = _trig_parts(points, k)
+            g = _grad_a(parts, k)
+            g[:, np.arange(3), np.arange(3)] += (k / lam) * np.column_stack(parts[3:])
             return g
 
         def div(points):
             return (k / lam) * np.cos(k * points).sum(axis=1)
 
         def force(points):
-            sines = np.sin(k * points)
-            return (3.0 * k * k * mu * _field_a(points, k)
-                    + (k * k / lam) * (2.0 * mu + lam) * sines)
+            parts = _trig_parts(points, k)
+            return (3.0 * k * k * mu * _field_a(parts)
+                    + (k * k / lam) * (2.0 * mu + lam) * np.column_stack(parts[:3]))
 
         tagger = _all_boundary if name == "example2" else _x0_plane_faces
         return ManufacturedCase(

@@ -39,7 +39,7 @@ logger = logging.getLogger(__name__)
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--mu", type=float, default=1.0, help="shear modulus (default 1)")
     p.add_argument("--mu1", type=float, default=None,
-                   help="stabilization scale (default: equal to mu)")
+                   help="stabilization scale, positive (default: equal to mu)")
     p.add_argument("--no-bubbles", action="store_true",
                    help="constrain all face bubbles to zero (locking ablation)")
     p.add_argument("--tol", type=float, default=1e-10,

@@ -22,8 +22,9 @@ The POLYMESH text format::
 from __future__ import annotations
 
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Callable, TextIO
 
 import numpy as np
@@ -32,6 +33,9 @@ from .quadrature import tet_rule, triangle_rule
 
 PLANARITY_RTOL = 1e-9
 DEGENERATE_AREA_RTOL = 1e-14
+# `_convex_weights` (and its batched first solve in `_weights`): uniform weights
+# within this relative distance, the largest relative residual, the least weight
+UNIFORM_RTOL, RESIDUAL_RTOL, NEGATIVE_TOL = 1e-13, 1e-10, -1e-13
 DEFAULT_SEED = 12345
 # the most quadrature points a field is evaluated at in one call (see
 # `_integrals`), so that quadrature transients do not grow with the mesh
@@ -64,7 +68,7 @@ def _convex_weights(points: np.ndarray, target: np.ndarray, scale: float):
     """
     m = len(points)
     mean = points.mean(axis=0)
-    if np.linalg.norm(mean - target) <= 1e-13 * max(scale, 1e-300):
+    if np.linalg.norm(mean - target) <= UNIFORM_RTOL * max(scale, 1e-300):
         return np.full(m, 1.0 / m)
     active = np.ones(m, dtype=bool)
     d = np.concatenate([[1.0], target])
@@ -78,11 +82,11 @@ def _convex_weights(points: np.ndarray, target: np.ndarray, scale: float):
         nu, *_ = np.linalg.lstsq(c_mat @ c_mat.T, rhs, rcond=None)
         w_active = uniform - c_mat.T @ nu
         residual = np.linalg.norm(c_mat @ w_active - d)
-        if residual > 1e-10 * max(scale, 1.0):
+        if residual > RESIDUAL_RTOL * max(scale, 1.0):
             return None
         w = np.zeros(m)
         w[idx] = w_active
-        negative = w < -1e-13
+        negative = w < NEGATIVE_TOL
         if not negative.any():
             return np.maximum(w, 0.0)
         active &= ~negative
@@ -92,8 +96,25 @@ def _convex_weights(points: np.ndarray, target: np.ndarray, scale: float):
 # -- CSR helpers ----------------------------------------------------------------
 
 
+class Rows(Sequence):
+    """Rows of a CSR array: row i is the read-only view flat[offsets[i]:offsets[i+1]]."""
+
+    def __init__(self, flat: np.ndarray, offsets: np.ndarray):
+        self.flat, self.offsets = flat.view(), offsets
+        self.flat.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i) -> np.ndarray:
+        i = range(len(self))[i]  # an index of any integer type, checked
+        return self.flat[self.offsets[i]:self.offsets[i + 1]]
+
+
 def _csr(rows):
-    """(offsets, ids) of a sequence of integer rows, or of a 2D array."""
+    """(offsets, ids) of `Rows`, of a sequence of integer rows or of a 2D array."""
+    if isinstance(rows, Rows):
+        return rows.offsets, rows.flat
     if isinstance(rows, np.ndarray) and rows.ndim == 2:
         return rows.shape[1] * np.arange(len(rows) + 1), rows.astype(int).ravel()
     rows = [np.asarray(r, dtype=int) for r in rows]
@@ -120,13 +141,14 @@ def _repeats_per_row(ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.bincount(owner[1:][dup], minlength=len(offsets) - 1) > 0
 
 
-def _groups(offsets: np.ndarray):
-    """Rows of a CSR array grouped by size: per size, the row ids and the
-    (n_rows, size) positions of their entries."""
+def _groups(offsets: np.ndarray, rows=None):
+    """Rows of a CSR array (all, or the ids `rows`) grouped by size:
+    per size, the row ids and the (n_rows, size) positions of their entries."""
     sizes = np.diff(offsets)
-    for m in np.unique(sizes):
-        rows = np.flatnonzero(sizes == m)
-        yield rows, offsets[rows, None] + np.arange(m)
+    rows = np.arange(len(sizes)) if rows is None else rows
+    for m in np.unique(sizes[rows]):
+        ids = rows[sizes[rows] == m]
+        yield ids, offsets[ids, None] + np.arange(m)
 
 
 def _row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -145,15 +167,6 @@ def row_entries(offsets: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     owner = np.repeat(np.arange(len(sizes)), sizes)
     first = np.cumsum(sizes) - sizes
     return offsets[rows][owner] + np.arange(len(owner)) - first[owner], owner
-
-
-def _rows(flat: np.ndarray, offsets: np.ndarray) -> list:
-    """Per-row views into a CSR array."""
-    sizes = np.diff(offsets)
-    if sizes.size and (sizes == sizes[0]).all():
-        return list(flat.reshape(len(sizes), sizes[0], *flat.shape[1:]))
-    bounds = offsets.tolist()
-    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _fan(offsets: np.ndarray, loops: np.ndarray):
@@ -178,21 +191,37 @@ def _diameters(positions: np.ndarray, offsets: np.ndarray, ids: np.ndarray) -> n
     return out
 
 
-def _fill_weights(positions, offsets, ids, weights, centroid, diam, fast, rejected):
-    """Write `_convex_weights` into the rows of `weights` that fail the
-    uniform fast path, in row order up to the first row that an earlier check
-    `rejected` or that has no nonnegative weights; return the mask of such
-    rows without weights."""
-    failed = np.zeros(len(fast), dtype=bool)
-    stop = int(np.argmax(rejected)) if rejected.any() else len(fast)
-    for i in np.flatnonzero(~fast[:stop]):
+def _weights(positions, offsets, ids, mean, centroid, diam, rejected):
+    """`_convex_weights` of every row of a CSR vertex array with vertex means
+    `mean`, up to the first row an earlier check `rejected`, and the mask of
+    rows without weights.  The first (all-active) solve is batched per row
+    size, with the cutoff of `lstsq` (max(M, N)·eps for the 4x4 normal
+    matrices); the rows it leaves negative or off the constraints continue
+    through `_convex_weights` in row order, up to the first without weights."""
+    sizes = np.diff(offsets)
+    weights = np.repeat(1.0 / sizes, sizes)
+    fast = np.linalg.norm(mean - centroid, axis=1) <= UNIFORM_RTOL * np.maximum(diam, 1e-300)
+    failed, clamp = np.zeros(len(sizes), dtype=bool), np.zeros(len(sizes), dtype=bool)
+    stop = int(np.argmax(rejected)) if rejected.any() else len(sizes)
+    for rows, entries in _groups(offsets, np.flatnonzero(~fast[:stop])):
+        c_t = np.concatenate([np.ones(entries.shape + (1,)), positions[ids[entries]]], axis=2)
+        c_mat, d = c_t.transpose(0, 2, 1), np.column_stack([np.ones(len(rows)), centroid[rows]])
+        uniform = np.full(entries.shape[1], 1.0 / entries.shape[1])
+        pinv = np.linalg.pinv(c_mat @ c_t, rcond=4 * np.finfo(float).eps)  # NumPy 1.x and 2.x
+        w = uniform - (c_t @ (pinv @ (c_mat @ uniform - d)[:, :, None]))[..., 0]
+        residual = np.linalg.norm((c_mat @ w[:, :, None])[..., 0] - d, axis=1)
+        ok = ((residual <= RESIDUAL_RTOL * np.maximum(diam[rows], 1.0))
+              & (w >= NEGATIVE_TOL).all(axis=1))
+        weights[entries[ok]] = np.maximum(w[ok], 0.0)
+        clamp[rows[~ok]] = True
+    for i in np.flatnonzero(clamp):
         lo, hi = offsets[i], offsets[i + 1]
         w = _convex_weights(positions[ids[lo:hi]], centroid[i], diam[i])
         if w is None:
             failed[i] = True
             break
         weights[lo:hi] = w
-    return failed
+    return weights, failed
 
 
 def _weight_defects(positions, offsets, ids, weights, centroid, diam):
@@ -216,10 +245,14 @@ def _violations(*checks) -> list:
 
 
 def _raise_first(*checks):
-    """Raise MeshError for the lowest entity id that fails a check."""
-    failed = _violations(*checks)
-    if failed:
-        raise MeshError(failed[0])
+    """Raise for the lowest entity id that fails a check, with the first check
+    it fails; a check is (mask of failing ids, message of an id[, exception
+    class, if not MeshError])."""
+    hits = [(int(np.argmax(bad)), k) for k, (bad, *_) in enumerate(checks) if bad.any()]
+    if hits:
+        i, k = min(hits)
+        error = checks[k][2] if len(checks[k]) > 2 else MeshError
+        raise error(checks[k][1](i))
 
 
 class Mesh:
@@ -229,9 +262,10 @@ class Mesh:
     (`face_loop_offsets`, `face_loop_vertices`), cell -> signed faces
     (`cell_face_offsets`, `cell_face_ids`, `cell_face_signs`) and cell ->
     sorted vertices (`cell_vertex_offsets`, `cell_vertex_ids`).  The geometry
-    arrays are read-only, and the per-entity lists (`face_loops`,
+    arrays are read-only, and the per-entity rows (`face_loops`,
     `face_weights`, `face_edge_*`, `cell_faces`, `cell_signs`,
-    `cell_vertices`, `cell_weights`) hold read-only views into flat arrays.
+    `cell_vertices`, `cell_weights`) are `Rows`: read-only views into the
+    flat arrays, made when a row is read.
     The mesh memoises nothing: quadrature rules are built on demand, in
     batches over faces or cells.
 
@@ -245,6 +279,8 @@ class Mesh:
         self.positions = np.asarray(positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise MeshError("positions must be an (n,3) array")
+        if not np.isfinite(self.positions).all():
+            raise MeshError("positions must be finite")
         self.n_vertices = len(self.positions)
         self.face_loop_offsets, self.face_loop_vertices = _csr(face_loops)
         self.cell_face_offsets, self.cell_face_ids = _csr(cell_faces)
@@ -262,15 +298,15 @@ class Mesh:
                 value.flags.writeable = False
         f_off, c_off, v_off = (self.face_loop_offsets, self.cell_face_offsets,
                                self.cell_vertex_offsets)
-        self.face_loops = _rows(self.face_loop_vertices, f_off)
-        self.face_weights = _rows(self._face_weights, f_off)
-        self.face_edge_lengths = _rows(self._edge_lengths, f_off)
-        self.face_edge_midpoints = _rows(self._edge_midpoints, f_off)
-        self.face_edge_normals = _rows(self._edge_normals, f_off)
-        self.cell_faces = _rows(self.cell_face_ids, c_off)
-        self.cell_signs = _rows(self.cell_face_signs, c_off)
-        self.cell_vertices = _rows(self.cell_vertex_ids, v_off)
-        self.cell_weights = _rows(self._cell_weights, v_off)
+        self.face_loops = Rows(self.face_loop_vertices, f_off)
+        self.face_weights = Rows(self._face_weights, f_off)
+        self.face_edge_lengths = Rows(self._edge_lengths, f_off)
+        self.face_edge_midpoints = Rows(self._edge_midpoints, f_off)
+        self.face_edge_normals = Rows(self._edge_normals, f_off)
+        self.cell_faces = Rows(self.cell_face_ids, c_off)
+        self.cell_signs = Rows(self.cell_face_signs, c_off)
+        self.cell_vertices = Rows(self.cell_vertex_ids, v_off)
+        self.cell_weights = Rows(self._cell_weights, v_off)
 
     # -- construction ------------------------------------------------------
 
@@ -296,7 +332,6 @@ class Mesh:
 
     def _compute_face_geometry(self):
         off, loops = self.face_loop_offsets, self.face_loop_vertices
-        sizes = np.diff(off)
         owner = _owner(off)
         tris, _, tri_off = _fan(off, loops)
         a, b, c = (self.positions[tris[:, k]] for k in range(3))
@@ -318,11 +353,9 @@ class Mesh:
         tol = PLANARITY_RTOL * diam
         degenerate = (area < DEGENERATE_AREA_RTOL * diam**2) | (vec_norm == 0.0)
         non_planar = offset > tol
-        weights = np.repeat(1.0 / sizes, sizes)
-        mean = _row_sums(pos, off) / sizes[:, None]
-        fast = np.linalg.norm(mean - centroid, axis=1) <= 1e-13 * np.maximum(diam, 1e-300)
-        no_weights = _fill_weights(self.positions, off, loops, weights, centroid,
-                                   diam, fast, degenerate | non_planar)
+        weights, no_weights = _weights(self.positions, off, loops, _row_sums(pos, off)
+                                       / np.diff(off)[:, None], centroid, diam,
+                                       degenerate | non_planar)
         nxt = np.arange(1, len(loops) + 1)
         nxt[off[1:] - 1] = off[:-1]
         tangents = pos[nxt] - pos
@@ -398,10 +431,8 @@ class Mesh:
         moment = _row_sums(_row_sums(v6[:, None] / 6.0 * tet_centroids, tri_off), c_off)
         centroid = moment / vol[:, None]
         non_positive = ~(vol > 0.0)
-        weights = np.repeat(1.0 / nv, nv)
-        fast = np.linalg.norm(apex - centroid, axis=1) <= 1e-13 * np.maximum(diam, 1e-300)
-        no_weights = _fill_weights(positions, v_off, vertex_ids, weights, centroid,
-                                   diam, fast, non_positive)
+        weights, no_weights = _weights(positions, v_off, vertex_ids, apex, centroid, diam,
+                                       non_positive)
         _raise_first(
             (non_positive, "cell {}: signed faces do not enclose positive volume".format),
             (no_weights, lambda i: f"cell {i}: centroid is not a nonnegative combination "
@@ -503,41 +534,65 @@ def _integrals(mesh: Mesh, kind: str, degree: int, integrand: Callable,
 # -- POLYMESH format ---------------------------------------------------------
 
 
-def _meaningful_lines(stream: TextIO):
-    for raw in stream:
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
+_INT_CLAMP = 1 << 62  # ids beyond it fail the range checks, not the conversion
+
+
+def _meaningful_lines(source) -> list:
+    """Non-empty lines of a string or iterable of lines, comments stripped."""
+    raws = io.StringIO(source) if isinstance(source, str) else source
+    return [line for line in (raw.partition("#")[0].strip() for raw in raws) if line]
+
+
+def _number(kind, token: str):
+    """Python's `kind(token)` (int, clamped, or float); None if malformed."""
+    try:
+        return max(-_INT_CLAMP, min(kind(token), _INT_CLAMP)) if kind is int else kind(token)
+    except ValueError:
+        return None
+
+
+def _tokens(lines: list, kind):
+    """The tokens of a block of lines converted by Python's `kind` (int or
+    float): flat values, CSR offsets of the lines and the mask of lines with
+    a malformed token (whose value is 0).  Lines are split one at a time, so
+    that no list of all tokens is kept."""
+    offsets = np.concatenate([[0], np.cumsum(np.fromiter(map(len, map(str.split, lines)), int))])
+    try:
+        values = np.fromiter(map(kind, chain.from_iterable(map(str.split, lines))), kind)
+        return values, offsets, np.zeros(len(lines), bool)
+    except (ValueError, OverflowError):
+        values = np.array([_number(kind, t) for t in chain.from_iterable(map(str.split, lines))],
+                          dtype=object)
+    malformed = np.equal(values, None)
+    return np.where(malformed, 0, values).astype(kind), offsets, _any_per_row(malformed, offsets)
+
+
+def _counted_lines(lines: list, what: str, items: str):
+    """Counted index lines `k i1 ... ik`: the flat ids, their CSR offsets,
+    every count k and the first two checks of a line."""
+    values, offsets, malformed = _tokens(lines, int)
+    heads = offsets[:-1]
+    checks = ((malformed, f"{what} {{}}: malformed index".format, MeshFormatError),
+              (values[heads] != np.diff(offsets) - 1,
+               f"{what} {{}}: count does not match {items} list".format, MeshFormatError))
+    return np.delete(values, heads), offsets - np.arange(len(offsets)), values[heads], checks
+
+
+def _check_end(lines: list, n: int, what: str):
+    """Raise unless there are `n` lines; `what` names the first missing one."""
+    if len(lines) < n:
+        raise MeshFormatError(f"unexpected end of input while reading {what}")
 
 
 def parse_polymesh(source) -> Mesh:
     """Parse the POLYMESH text format from a string, path-free stream, or
-    iterable of lines."""
-    if isinstance(source, str):
-        stream = io.StringIO(source)
-    else:
-        stream = source
-    lines = _meaningful_lines(stream)
-
-    def next_line(what):
-        try:
-            return next(lines)
-        except StopIteration:
-            raise MeshFormatError(f"unexpected end of input while reading {what}")
-
-    def counted_ints(what, items):
-        try:
-            ints = [int(p) for p in next_line(what).split()]
-        except ValueError:
-            raise MeshFormatError(f"{what}: malformed index")
-        if not ints or ints[0] != len(ints) - 1:
-            raise MeshFormatError(f"{what}: count does not match {items} list")
-        return ints
-
-    header = next_line("header").split()
-    if header != ["POLYMESH", "1"]:
+    iterable of lines, block by block; an error names the lowest bad line."""
+    lines = _meaningful_lines(source)
+    _check_end(lines, 1, "header")
+    if lines[0].split() != ["POLYMESH", "1"]:
         raise MeshFormatError("malformed header: expected 'POLYMESH 1'")
-    counts = next_line("counts").split()
+    _check_end(lines, 2, "counts")
+    counts = lines[1].split()
     if len(counts) != 3:
         raise MeshFormatError("malformed counts line: expected '<n_v> <n_f> <n_c>'")
     try:
@@ -546,61 +601,65 @@ def parse_polymesh(source) -> Mesh:
         raise MeshFormatError("malformed counts line: non-integer count")
     if n_v < 0 or n_f < 0 or n_c < 0:
         raise MeshFormatError("malformed counts line: negative count")
+    start = np.cumsum([2, n_v, n_f, n_c]).tolist()
+    vertex_lines, face_lines, cell_lines = (lines[a:b] for a, b in zip(start, start[1:]))
 
-    positions = np.empty((n_v, 3))
-    for i in range(n_v):
-        parts = next_line(f"vertex {i}").split()
-        if len(parts) != 3:
-            raise MeshFormatError(f"vertex {i}: expected 3 coordinates")
-        try:
-            positions[i] = [float(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"vertex {i}: malformed coordinate")
+    coords, offsets, malformed = _tokens(vertex_lines, float)
+    _raise_first(
+        (np.diff(offsets) != 3, "vertex {}: expected 3 coordinates".format, MeshFormatError),
+        (malformed, "vertex {}: malformed coordinate".format, MeshFormatError),
+        (_any_per_row(~np.isfinite(coords), offsets),
+         "vertex {}: non-finite coordinate".format, MeshFormatError),
+    )
+    _check_end(vertex_lines, n_v, f"vertex {len(vertex_lines)}")
 
-    face_loops = []
-    for i in range(n_f):
-        ints = counted_ints(f"face {i}", "vertex")
-        if ints[0] < 3:
-            raise MeshError(f"face {i} has fewer than 3 vertices")
-        loop = np.array(ints[1:], dtype=int)
-        if loop.min() < 0 or loop.max() >= n_v:
-            raise MeshError(f"dangling index: face {i} references a missing vertex")
-        face_loops.append(loop)
+    loops, loop_offsets, count, checks = _counted_lines(face_lines, "face", "vertex")
+    _raise_first(
+        *checks,
+        (count < 3, "face {} has fewer than 3 vertices".format),
+        (_any_per_row((loops < 0) | (loops >= n_v), loop_offsets),
+         "dangling index: face {} references a missing vertex".format),
+    )
+    _check_end(face_lines, n_f, f"face {len(face_lines)}")
 
-    cell_faces = []
-    cell_signs = []
-    for i in range(n_c):
-        ints = counted_ints(f"cell {i}", "face")
-        if ints[0] < 4:
-            raise MeshError(f"cell {i} has fewer than 4 faces")
-        signed = np.array(ints[1:], dtype=int)
-        if np.any(signed == 0):
-            raise MeshFormatError(f"cell {i}: face ids are signed and 1-based")
-        faces = np.abs(signed) - 1
-        if faces.max() >= n_f:
-            raise MeshError(f"dangling index: cell {i} references a missing face")
-        cell_faces.append(faces)
-        cell_signs.append(np.sign(signed))
+    signed, cell_offsets, count, checks = _counted_lines(cell_lines, "cell", "face")
+    _raise_first(
+        *checks,
+        (count < 4, "cell {} has fewer than 4 faces".format),
+        (_any_per_row(signed == 0, cell_offsets),
+         "cell {}: face ids are signed and 1-based".format, MeshFormatError),
+        (_any_per_row(np.abs(signed) > n_f, cell_offsets),
+         "dangling index: cell {} references a missing face".format),
+    )
+    _check_end(cell_lines, n_c, f"cell {len(cell_lines)}")
 
-    leftover = next(lines, None)
-    if leftover is not None:
-        raise MeshFormatError(f"trailing content after cell list: {leftover!r}")
-    return Mesh(positions, face_loops, cell_faces, cell_signs)
+    if len(lines) > start[3]:
+        raise MeshFormatError(f"trailing content after cell list: {lines[start[3]]!r}")
+    return Mesh(coords.reshape(n_v, 3), Rows(loops, loop_offsets),
+                Rows(np.abs(signed) - 1, cell_offsets), Rows(np.sign(signed), cell_offsets))
+
+
+def _counted_text(values: np.ndarray, offsets: np.ndarray) -> str:
+    """Lines `k i1 ... ik`, one per row of a CSR integer array."""
+    sizes = np.diff(offsets)
+    line = {m: " ".join(["%d"] * (m + 1)) + "\n" for m in np.unique(sizes).tolist()}
+    flat = np.insert(values, offsets[:-1], sizes)
+    return "".join(map(line.__getitem__, sizes.tolist())) % tuple(flat.tolist())
+
+
+def _table(values: np.ndarray, fmt: str) -> str:
+    """One line per row of a 2D array, its entries in printf format `fmt`."""
+    rows, cols = values.shape
+    return ((" ".join([fmt] * cols) + "\n") * rows) % tuple(values.ravel().tolist())
 
 
 def write_polymesh(mesh: Mesh, stream: TextIO | None = None) -> str:
     """Serialize a mesh to the POLYMESH format (round-trip exact)."""
-    out = io.StringIO()
-    out.write("POLYMESH 1\n")
-    out.write(f"{mesh.n_vertices} {mesh.n_faces} {mesh.n_cells}\n")
-    for p in mesh.positions:
-        out.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-    for loop in mesh.face_loops:
-        out.write(" ".join([str(len(loop))] + [str(v) for v in loop]) + "\n")
-    for faces, signs in zip(mesh.cell_faces, mesh.cell_signs):
-        ids = [str(int(s) * (int(f) + 1)) for f, s in zip(faces, signs)]
-        out.write(" ".join([str(len(faces))] + ids) + "\n")
-    text = out.getvalue()
+    signed = mesh.cell_face_signs * (mesh.cell_face_ids + 1)
+    text = (f"POLYMESH 1\n{mesh.n_vertices} {mesh.n_faces} {mesh.n_cells}\n"
+            + _table(mesh.positions, "%.17g")
+            + _counted_text(mesh.face_loop_vertices, mesh.face_loop_offsets)
+            + _counted_text(signed, mesh.cell_face_offsets))
     if stream is not None:
         stream.write(text)
     return text

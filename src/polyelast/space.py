@@ -42,12 +42,17 @@ class MaterialParams:
     mu1: float | None = None
 
     def __post_init__(self):
+        for name, value in (("mu", self.mu), ("lambda", self.lam), ("mu1", self.mu1)):
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not self.mu > 0:
             raise ValueError("mu must be positive")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         if self.mu1 is None:
             object.__setattr__(self, "mu1", float(self.mu))
+        if not self.mu1 > 0:
+            raise ValueError("mu1 must be positive")
 
     @property
     def stabilization_scale(self) -> float:

@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, _counted_text, _table, row_entries
 
 VTK_POLYHEDRON = 42
 
@@ -25,26 +25,18 @@ def vtk_unstructured_grid(mesh: Mesh,
     out.write(f"{title}\n")
     out.write("ASCII\n")
     out.write("DATASET UNSTRUCTURED_GRID\n")
-    out.write(f"POINTS {mesh.n_vertices} double\n")
-    for p in mesh.positions:
-        out.write(f"{p[0]:.16g} {p[1]:.16g} {p[2]:.16g}\n")
+    out.write(f"POINTS {mesh.n_vertices} double\n" + _table(mesh.positions, "%.16g"))
 
-    streams = []
-    total = 0
-    for cid in range(mesh.n_cells):
-        stream = [len(mesh.cell_faces[cid])]
-        for fid in mesh.cell_faces[cid]:
-            loop = mesh.face_loops[fid]
-            stream.append(len(loop))
-            stream.extend(int(v) for v in loop)
-        streams.append(stream)
-        total += len(stream) + 1
-    out.write(f"CELLS {mesh.n_cells} {total}\n")
-    for stream in streams:
-        out.write(" ".join(str(v) for v in [len(stream)] + stream) + "\n")
-    out.write(f"CELL_TYPES {mesh.n_cells}\n")
-    for _ in range(mesh.n_cells):
-        out.write(f"{VTK_POLYHEDRON}\n")
+    # per cell: its face count, then per face the loop size and the loop
+    entries, _ = row_entries(mesh.face_loop_offsets, mesh.cell_face_ids)
+    sizes = np.diff(mesh.face_loop_offsets)[mesh.cell_face_ids]
+    stream = np.insert(mesh.face_loop_vertices[entries], np.cumsum(sizes) - sizes, sizes)
+    starts = np.concatenate([[0], np.cumsum(sizes + 1)])[mesh.cell_face_offsets]
+    stream = np.insert(stream, starts[:-1], np.diff(mesh.cell_face_offsets))
+    offsets = starts + np.arange(len(starts))
+    out.write(f"CELLS {mesh.n_cells} {len(stream) + mesh.n_cells}\n"
+              + _counted_text(stream, offsets))
+    out.write(f"CELL_TYPES {mesh.n_cells}\n" + f"{VTK_POLYHEDRON}\n" * mesh.n_cells)
 
     if point_vectors:
         out.write(f"POINT_DATA {mesh.n_vertices}\n")
@@ -52,19 +44,15 @@ def vtk_unstructured_grid(mesh: Mesh,
             data = np.asarray(data, dtype=float)
             if data.shape != (mesh.n_vertices, 3):
                 raise ValueError(f"point vector field {name!r} has wrong shape")
-            out.write(f"VECTORS {name} double\n")
-            for row in data:
-                out.write(f"{row[0]:.16g} {row[1]:.16g} {row[2]:.16g}\n")
+            out.write(f"VECTORS {name} double\n" + _table(data, "%.16g"))
     if cell_scalars:
         out.write(f"CELL_DATA {mesh.n_cells}\n")
         for name, data in cell_scalars.items():
             data = np.asarray(data, dtype=float)
             if data.shape != (mesh.n_cells,):
                 raise ValueError(f"cell scalar field {name!r} has wrong shape")
-            out.write(f"SCALARS {name} double 1\n")
-            out.write("LOOKUP_TABLE default\n")
-            for v in data:
-                out.write(f"{v:.16g}\n")
+            out.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
+                      + _table(data[:, None], "%.16g"))
     return out.getvalue()
 
 

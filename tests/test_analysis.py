@@ -361,3 +361,58 @@ def test_example3_boundary_tagging():
     # all other cases constrain the whole boundary
     all_tags = case_dirichlet_tagger("example1")(mesh)
     assert np.array_equal(all_tags, mesh.face_on_boundary)
+
+
+def _old_example2_fields(k, lam, mu):
+    """The example2/example3 displacement, gradient and body force as they
+    were written before the fields shared their sines and cosines: each
+    term evaluates its own."""
+    def parts(points):
+        x, y, z = points[:, 0], points[:, 1], points[:, 2]
+        return (np.sin(k * x), np.sin(k * y), np.sin(k * z),
+                np.cos(k * x), np.cos(k * y), np.cos(k * z))
+
+    def field_a(points):
+        sx, sy, sz, cx, cy, cz = parts(points)
+        return np.column_stack([-2.0 * sx * cy * cz, cx * sy * cz, cx * cy * sz])
+
+    def grad_a(points):
+        sx, sy, sz, cx, cy, cz = parts(points)
+        g = np.empty((len(points), 3, 3))
+        g[:, 0, 0] = -2.0 * k * cx * cy * cz
+        g[:, 0, 1] = 2.0 * k * sx * sy * cz
+        g[:, 0, 2] = 2.0 * k * sx * cy * sz
+        g[:, 1, 0] = -k * sx * sy * cz
+        g[:, 1, 1] = k * cx * cy * cz
+        g[:, 1, 2] = -k * cx * sy * sz
+        g[:, 2, 0] = -k * sx * cy * sz
+        g[:, 2, 1] = -k * cx * sy * sz
+        g[:, 2, 2] = k * cx * cy * cz
+        return g
+
+    def disp(points):
+        return field_a(points) + np.sin(k * points) / lam
+
+    def grad(points):
+        g = grad_a(points)
+        g[:, np.arange(3), np.arange(3)] += (k / lam) * np.cos(k * points)
+        return g
+
+    def force(points):
+        return (3.0 * k * k * mu * field_a(points)
+                + (k * k / lam) * (2.0 * mu + lam) * np.sin(k * points))
+
+    return disp, grad, force
+
+
+@pytest.mark.parametrize("name", ["example2", "example3"])
+def test_example_fields_bit_identical_to_separate_trig(name):
+    rng = np.random.default_rng(5)
+    for lam, mu in [(1.0, 1.0), (1e3, 0.7), (1e8, 2.5)]:
+        case = manufactured_case(name, lam=lam, mu=mu)
+        disp, grad, force = _old_example2_fields(2.0 * np.pi, lam, mu)
+        for n in (1, 7, 4097):
+            points = rng.uniform(-0.5, 1.5, size=(n, 3))
+            assert np.array_equal(case.displacement(points), disp(points))
+            assert np.array_equal(case.gradient(points), grad(points))
+            assert np.array_equal(case.body_force(points), force(points))

@@ -142,3 +142,30 @@ def test_solve_from_polymesh_file(tmp_path):
     assert code == 0
     fields = (tmp_path / "row.csv").read_text().splitlines()[2].split(",")
     assert fields[1] == "file"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--lambda", "nan"], "lambda must be finite"),
+    (["--lambda", "inf"], "lambda must be finite"),
+    (["--lambda", "1", "--mu1", "-1"], "mu1 must be positive"),
+    (["--lambda", "1", "--mu1", "0"], "mu1 must be positive"),
+])
+def test_bad_material_values_exit_1(flags, message, capsys):
+    code = main(["solve", "--case", "example2", "--mesh", "hex:2", *flags])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_rejects_non_finite_coordinate(tmp_path, capfd):
+    from polyelast.mesh import write_polymesh
+
+    lines = write_polymesh(generate_structured_mesh("hex", 2)).splitlines()
+    lines[2 + 5] = "0.5 nan 0.5"  # vertex 5
+    path = tmp_path / "nan.poly"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["check", "--mesh", str(path)])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    # the message alone: nothing reaches LAPACK, which would print to stderr
+    assert err == "error: vertex 5: non-finite coordinate\n"

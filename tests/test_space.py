@@ -57,6 +57,23 @@ def test_material_params():
         MaterialParams(mu=1.0, lam=-1.0)
 
 
+@pytest.mark.parametrize("values,message", [
+    (dict(mu=np.nan, lam=1.0), "mu must be finite"),
+    (dict(mu=np.inf, lam=1.0), "mu must be finite"),
+    (dict(mu=1.0, lam=np.nan), "lambda must be finite"),
+    (dict(mu=1.0, lam=np.inf), "lambda must be finite"),
+    (dict(mu=1.0, lam=1.0, mu1=np.nan), "mu1 must be finite"),
+    (dict(mu=1.0, lam=1.0, mu1=-np.inf), "mu1 must be finite"),
+    (dict(mu=1.0, lam=1.0, mu1=-1.0), "mu1 must be positive"),
+    (dict(mu=1.0, lam=1.0, mu1=0.0), "mu1 must be positive"),
+])
+def test_material_params_rejects_non_finite_and_non_positive_mu1(values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MaterialParams(**values)
+    # lambda = 0 stays valid (pure shear)
+    assert MaterialParams(mu=1.0, lam=0.0).stabilization_scale == 1.0
+
+
 def test_dofmap_layout_and_mask(cube):
     dm = DofMap(cube)
     assert dm.total_dofs == 3 * cube.n_vertices + cube.n_faces
