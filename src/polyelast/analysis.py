@@ -23,15 +23,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import BoundaryConditions, assemble
+from .assembly import (
+    BoundaryConditions,
+    assemble_matrix,
+    check_setup,
+    divergence_matrix,
+    lifted_system,
+)
 from .mesh import DEFAULT_SEED, Mesh, _integrals, generate_structured_mesh, parse_polymesh
 from .solver import SolverConfig, solve_spd
 from .space import (
     DiscreteFunction,
     DofMap,
     MaterialParams,
-    ReconstructionOperators,
+    cell_fields,
     interpolate,
+    stabilization_energies,
 )
 
 logger = logging.getLogger(__name__)
@@ -201,27 +208,29 @@ class DiscreteNorms:
     stabilization: float
 
 
-def _volume_norm_sq(ops: ReconstructionOperators, values: np.ndarray) -> float:
-    """Sum over cells of |K| times the squared cell entries of `values`, the
-    image of a DOF vector under one of the operators of `ops`."""
-    return float(ops.volume @ (values**2).reshape(len(ops.volume), -1).sum(axis=1))
+def _volume_norm_sq(mesh: Mesh, values: np.ndarray) -> float:
+    """Sum over cells of |K| times the squared cell entries of `values`."""
+    return float(mesh.cell_volume @ (values**2).reshape(mesh.n_cells, -1).sum(axis=1))
+
+
+def _strain(gradients: np.ndarray) -> np.ndarray:
+    return 0.5 * (gradients + gradients.swapaxes(1, 2))
 
 
 def discrete_norms(mesh: Mesh, func: DiscreteFunction,
                    material: MaterialParams) -> DiscreteNorms:
     """Broken H1, energy, strain-L2 and stabilization (semi)norms."""
-    ops = ReconstructionOperators(mesh)
-    v = func.values
-    s_val = ops.stabilization_energy(v)
-    eps_sq = _volume_norm_sq(ops, ops.strain @ v)
+    grad = cell_fields(mesh, func.values)[0]
+    s_val = stabilization_energies(mesh, func.values)
+    eps_sq = _volume_norm_sq(mesh, _strain(grad))
     energy_sq = (2.0 * material.mu * eps_sq
-                 + material.lam * _volume_norm_sq(ops, ops.divergence @ v)
+                 + material.lam * _volume_norm_sq(mesh, np.trace(grad, axis1=1, axis2=2))
                  + material.stabilization_scale * s_val)
     return DiscreteNorms(
-        h1=float(np.sqrt(_volume_norm_sq(ops, ops.gradient @ v) + s_val)),
+        h1=float(np.sqrt(_volume_norm_sq(mesh, grad) + s_val)),
         energy=float(np.sqrt(energy_sq)),
         eps_l2=float(np.sqrt(eps_sq)),
-        stabilization=s_val,
+        stabilization=float(s_val),
     )
 
 
@@ -238,8 +247,8 @@ def relative_error(mesh: Mesh, solution: DiscreteFunction,
                    quad_degree: int = 4) -> float:
     """Strain-L2 distance between the discrete solution and the interpolant
     of the exact solution, relative to the exact strain norm."""
-    ops = ReconstructionOperators(mesh)
-    num_sq = _volume_norm_sq(ops, ops.strain @ (solution.values - reference.values))
+    grad = cell_fields(mesh, solution.values - reference.values)[0]
+    num_sq = _volume_norm_sq(mesh, _strain(grad))
     den = exact_strain_norm(mesh, strain_fn, quad_degree)
     if den == 0.0:
         raise ZeroDivisionError("exact strain norm vanishes")
@@ -262,11 +271,10 @@ def consistency_error(mesh: Mesh, gradient_fn: Callable,
     """Gradient-consistency error of the interpolant: L2 distance between the
     exact gradient and the piecewise-constant reconstruction, plus the
     stabilization energy, all under a square root."""
-    ops = ReconstructionOperators(mesh)
-    grad = (ops.gradient @ interpolant.values).reshape(-1, 3, 3)
+    grad = cell_fields(mesh, interpolant.values)[0]
     squares = _integrals(mesh, "cell", quad_degree, lambda points, at: np.sum(
         (gradient_fn(points) - grad[at]) ** 2, axis=(1, 2)))
-    return float(np.sqrt(squares.sum() + ops.stabilization_energy(interpolant.values)))
+    return float(np.sqrt(squares.sum() + stabilization_energies(mesh, interpolant.values)))
 
 
 def adjoint_residual(mesh: Mesh, stress_fn: Callable, force_fn: Callable,
@@ -274,11 +282,10 @@ def adjoint_residual(mesh: Mesh, stress_fn: Callable, force_fn: Callable,
     """Integration-by-parts residual of an exact stress against a discrete
     test function: sum over cells of (cell mean stress):strain(v) minus the
     force integral against the piecewise-constant displacement."""
-    ops = ReconstructionOperators(mesh)
-    stress_int = ops.cell_integrals(stress_fn, quad_degree).ravel()
-    force_int = ops.cell_integrals(force_fn, quad_degree).ravel()
-    return float(stress_int @ (ops.strain @ func.values)
-                 - force_int @ (ops.mean @ func.values))
+    grad, mean = cell_fields(mesh, func.values)
+    stress_int = _integrals(mesh, "cell", quad_degree, lambda points, at: stress_fn(points))
+    force_int = _integrals(mesh, "cell", quad_degree, lambda points, at: force_fn(points))
+    return float(stress_int.ravel() @ _strain(grad).ravel() - force_int.ravel() @ mean.ravel())
 
 
 @dataclass(frozen=True)
@@ -291,19 +298,17 @@ def korn_ratio(mesh: Mesh, dofmap: DofMap, sample_count: int,
                seed: int = DEFAULT_SEED) -> KornStats:
     """Sampled discrete Korn ratios |v|_{1,D}^2 / (|eps(v)|^2 + S(v,v)) over
     random interior-supported discrete functions."""
-    ops = ReconstructionOperators(mesh)
+    # one column per sample, drawn one after the other
+    values = np.zeros((dofmap.vector_size, sample_count))
     rng = np.random.default_rng(seed)
-    ratios = np.empty(sample_count)
-    for k in range(sample_count):
-        values = np.zeros(dofmap.vector_size)
-        values[dofmap.free_indices] = rng.standard_normal(dofmap.n_free)
-        s_val = ops.stabilization_energy(values)
-        num = _volume_norm_sq(ops, ops.gradient @ values) + s_val
-        den = _volume_norm_sq(ops, ops.strain @ values) + s_val
-        if den <= 0.0:
-            raise ArithmeticError("Korn denominator vanished for a nonzero "
-                                  "discrete function")
-        ratios[k] = num / den
+    values[dofmap.free_indices] = rng.standard_normal((sample_count, dofmap.n_free)).T
+    grad = cell_fields(mesh, values)[0]
+    s_val = stabilization_energies(mesh, values)
+    den = mesh.cell_volume @ (_strain(grad) ** 2).sum(axis=(1, 2)) + s_val
+    if np.any(den <= 0.0):
+        raise ArithmeticError("Korn denominator vanished for a nonzero "
+                              "discrete function")
+    ratios = (mesh.cell_volume @ (grad**2).sum(axis=(1, 2)) + s_val) / den
     return KornStats(float(ratios.max()), float(ratios.mean()))
 
 
@@ -408,13 +413,17 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
     """Assemble/solve the case on every (mesh, lambda) pair and report
     relative errors and observed rates.
 
-    Every lambda is assembled on its own, as a single solve is; the exact
-    fields and hence the loads and liftings may depend on lambda.  In the
-    no-bubble ablation mode, rates are reported only for lambda < 1e3 rows,
-    where the error still behaves like a power of h.
+    The matrix A0 + lambda*K is split once per mesh: A0 from `assemble_matrix`
+    at lambda = 0 and K from `divergence_matrix`.  The exact fields and hence
+    the loads and liftings depend on lambda and are assembled per lambda.
+    Every lambda (and mu, mu1) is validated before the first mesh is built.
+    In the no-bubble ablation mode, rates are reported only for lambda < 1e3
+    rows, where the error still behaves like a power of h.
     """
     if not lambdas:
         raise ValueError("lambda list must be non-empty")
+    cases = [manufactured_case(case_name, lam=lam, mu=mu, mu1=mu1) for lam in lambdas]
+    lambda_free = MaterialParams(mu=mu, lam=0.0, mu1=mu1)  # the material of A0
     if solver_config is None:
         solver_config = SolverConfig()
     records: list[ConvergenceRecord] = []
@@ -423,12 +432,17 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
         mesh = source.build(seed=seed)
         tags = case_dirichlet_tagger(case_name)(mesh)
         dofmap = DofMap(mesh, bubbles_enabled=bubbles, dirichlet_faces=tags)
-        for lam in lambdas:
+        check_setup(mesh, dofmap, BoundaryConditions(tags))
+        start = time.perf_counter()
+        a0 = assemble_matrix(mesh, dofmap, lambda_free)
+        k = divergence_matrix(mesh)
+        logger.info("%s: lambda split built in %.2fs, nnz A0=%d K=%d", source.label,
+                    time.perf_counter() - start, a0.nnz, k.nnz)
+        for lam, case in zip(lambdas, cases):
             start = time.perf_counter()
-            case = manufactured_case(case_name, lam=lam, mu=mu, mu1=mu1)
-            system = assemble(mesh, dofmap, case.material,
-                              case.boundary_conditions(mesh), case.body_force,
-                              quad_degree)
+            system = lifted_system(mesh, dofmap, (a0 + lam * k).tocsr(),
+                                   case.boundary_conditions(mesh), case.body_force,
+                                   quad_degree)
             result = solve_spd(system, solver_config)
             reference = interpolate(mesh, dofmap, case.displacement)
             err = relative_error(mesh, result.function, reference, case.strain,

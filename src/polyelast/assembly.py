@@ -4,9 +4,10 @@ The bilinear form of the scheme is, cell by cell,
 
     |K| * (2*mu * strain(u):strain(v) + lambda * div(u)*div(v)) + mu1 * S_K(u,v)
 
-so the global matrix is 2*mu*Gs^T W Gs + lambda*D^T W D + mu1*(F^T H F + H_b)
-in the sparse operators of `ReconstructionOperators` (strain Gs, divergence
-D, vertex fit F, cell volumes W, h_K scalings H and H_b).  The volume load
+so the global matrix is A0 + lambda*K, A0 = 2*mu*Gs^T W Gs + mu1*(F^T H F + H_b)
+and K = D^T W D, in the sparse operators of `ReconstructionOperators` (strain
+Gs, divergence D, vertex fit F, cell volumes W, h_K scalings H and H_b),
+summed over the chunks of cells of `operator_chunks`.  The volume load
 acts through the piecewise-constant displacement reconstruction M, so each
 cell vertex receives its convex weight times the cell integral of the force
 and bubbles receive no volume load.  Dirichlet values
@@ -31,6 +32,7 @@ from .space import (
     ReconstructionOperators,
     face_bubble_moments,
     local_dofs,
+    operator_chunks,
 )
 
 
@@ -93,26 +95,45 @@ class SparseSystem:
 
 
 def _matrix(ops: ReconstructionOperators, material: MaterialParams) -> sp.csr_matrix:
-    """The matrix of the bilinear form over the cells of `ops`."""
-    volume = sp.diags(ops.volume)
-    strain_volume = sp.diags(np.repeat(ops.volume, 9))
-    return (2.0 * material.mu * (ops.strain.T @ strain_volume @ ops.strain)
-            + material.lam * (ops.divergence.T @ volume @ ops.divergence)
+    """The matrix A0 + lambda*K of the bilinear form over the cells of `ops`,
+    on their DOFs `ops.dofs`."""
+    return (ops.energy_form(2.0 * material.mu, material.lam)
             + material.stabilization_scale * ops.stabilization()).tocsr()
+
+
+def _global_sum(mesh: Mesh, form: Callable) -> sp.csr_matrix:
+    """The global matrix of `form(ops)` summed over `operator_chunks`, as a
+    binary counter adds: only sums of equally many chunks are added, so every
+    entry is copied O(log n) times and the partial sums stay near the total."""
+    size = 3 * mesh.n_vertices + mesh.n_faces
+    partial = []  # the sums of 2**j chunks, j falling
+    for n, ops in enumerate(operator_chunks(mesh), 1):
+        local = form(ops)  # ascending `ops.dofs`: rows and columns keep their order
+        indptr = np.zeros(size + 1, dtype=local.indptr.dtype)
+        indptr[ops.dofs + 1] = np.diff(local.indptr)
+        term = sp.csr_matrix((local.data, ops.dofs[local.indices], np.cumsum(indptr)),
+                             shape=(size, size))
+        while n % 2 == 0:
+            term, n = partial.pop() + term, n // 2
+        partial.append(term)
+    return sum(reversed(partial[:-1]), start=partial[-1]).tocsr()
 
 
 def _volume_load(ops: ReconstructionOperators, body_force: Callable,
                  quad_degree: int) -> np.ndarray:
     """M^T (cell integrals of the force): each vertex receives its convex
     weight times the cell integral; bubbles receive zero."""
-    return ops.mean.T @ ops.cell_integrals(body_force, quad_degree).ravel()
+    integrals = _integrals(ops.mesh, "cell", quad_degree,
+                           lambda points, at: body_force(points), ops.cells)
+    return ops.mean.T @ integrals.ravel()
 
 
 def local_matrix(mesh: Mesh, cid: int, material: MaterialParams,
                  dofmap: DofMap) -> np.ndarray:
     """Local stiffness + stabilization matrix over the cell DOFs."""
-    dofs = dofmap.cell_dofs(cid)
-    return _matrix(ReconstructionOperators(mesh, [cid]), material)[dofs][:, dofs].toarray()
+    ops = ReconstructionOperators(mesh, [cid])
+    cols = np.searchsorted(ops.dofs, dofmap.cell_dofs(cid))
+    return _matrix(ops, material)[cols][:, cols].toarray()
 
 
 def local_load(mesh: Mesh, cid: int, body_force: Callable | None,
@@ -122,7 +143,8 @@ def local_load(mesh: Mesh, cid: int, body_force: Callable | None,
     dofs = local_dofs(mesh, cid)
     if body_force is None:
         return np.zeros(len(dofs))
-    return _volume_load(ReconstructionOperators(mesh, [cid]), body_force, quad_degree)[dofs]
+    ops = ReconstructionOperators(mesh, [cid])
+    return _volume_load(ops, body_force, quad_degree)[np.searchsorted(ops.dofs, dofs)]
 
 
 def local_system(mesh: Mesh, cid: int, material: MaterialParams, dofmap: DofMap,
@@ -178,7 +200,12 @@ def neumann_load(mesh: Mesh, fid: int, traction: Callable, dofmap: DofMap,
 def assemble_matrix(mesh: Mesh, dofmap: DofMap,
                     material: MaterialParams) -> sp.csr_matrix:
     """Unconstrained global matrix."""
-    return _matrix(ReconstructionOperators(mesh), material)
+    return _global_sum(mesh, lambda ops: _matrix(ops, material))
+
+
+def divergence_matrix(mesh: Mesh) -> sp.csr_matrix:
+    """The lambda part K of the unconstrained global matrix."""
+    return _global_sum(mesh, lambda ops: ops.energy_form(0.0, 1.0))
 
 
 def assemble_load(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions,
@@ -186,7 +213,8 @@ def assemble_load(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions,
     """Unconstrained load vector: volume force plus Neumann surface loads."""
     load = np.zeros(dofmap.vector_size)
     if body_force is not None:
-        load += _volume_load(ReconstructionOperators(mesh), body_force, quad_degree)
+        for ops in operator_chunks(mesh):
+            load[ops.dofs] += _volume_load(ops, body_force, quad_degree)
     faces = bcs.neumann_face_ids(mesh)
     if bcs.neumann_data is not None and len(faces):
         dofs, values = _neumann_loads(mesh, faces, bcs.neumann_data, dofmap, quad_degree)
@@ -255,13 +283,28 @@ def assemble(mesh: Mesh, dofmap: DofMap, material: MaterialParams,
              bcs: BoundaryConditions, body_force: Callable | None = None,
              quad_degree: int = 4) -> SparseSystem:
     """Assemble the reduced linear system of the scheme."""
+    check_setup(mesh, dofmap, bcs)
+    return lifted_system(mesh, dofmap, assemble_matrix(mesh, dofmap, material), bcs,
+                         body_force, quad_degree)
+
+
+def check_setup(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions):
+    """The checks of `assemble` that depend only on the mesh and the boundary
+    tags: valid tags, agreeing with the DofMap, and a Dirichlet vertex in
+    every connected component."""
     bcs.check(mesh)
     if not np.array_equal(dofmap.dirichlet_faces, np.asarray(bcs.dirichlet_faces,
                                                              dtype=bool)):
         raise AssemblyError("DofMap and BoundaryConditions disagree on the "
                             "Dirichlet faces")
     check_dirichlet_coverage(mesh, dofmap)
-    full_matrix = assemble_matrix(mesh, dofmap, material)
+
+
+def lifted_system(mesh: Mesh, dofmap: DofMap, full_matrix: sp.csr_matrix,
+                  bcs: BoundaryConditions, body_force: Callable | None = None,
+                  quad_degree: int = 4) -> SparseSystem:
+    """The reduced system of `full_matrix`, with the load and the lifting of
+    `bcs` and `body_force` (the part of `assemble` after its matrix)."""
     full_load = assemble_load(mesh, dofmap, bcs, body_force, quad_degree)
     lifting = dirichlet_lifting(mesh, dofmap, bcs)
     if not np.isfinite(lifting).all() or not np.isfinite(full_load).all():

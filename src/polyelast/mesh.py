@@ -288,7 +288,8 @@ class Mesh:
         self.n_faces = len(self.face_loop_offsets) - 1
         self.n_cells = len(self.cell_face_offsets) - 1
         self._check_connectivity(sign_offsets)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # overflow shows as non-finite geometry, reported as such
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self._compute_face_geometry()
             self._build_adjacency()
             self._compute_cell_geometry()
@@ -339,6 +340,9 @@ class Mesh:
         vec_area = 0.5 * _row_sums(cross, tri_off)
         # rounds as `np.linalg.norm` of a single vector does
         vec_norm = np.sqrt((vec_area[:, None, :] @ vec_area[:, :, None])[:, 0, 0])
+        diam = _diameters(self.positions, off, loops)
+        _raise_first((~np.isfinite(vec_norm) | ~np.isfinite(diam),
+                     "face {}: geometry overflows (coordinates too large)".format))
         normal = vec_area / vec_norm[:, None]
         tri_signed = np.zeros(len(tris))
         for rows, entries in _groups(tri_off):  # stacked products add as `cross @ normal`
@@ -346,7 +350,6 @@ class Mesh:
         area = _row_sums(tri_signed, tri_off)
         centroid = (_row_sums(tri_signed[:, None] * ((a + b + c) / 3.0), tri_off)
                     / area[:, None])
-        diam = _diameters(self.positions, off, loops)
         pos = self.positions[loops]
         offset = np.maximum.reduceat(
             np.abs(np.einsum("ij,ij->i", pos - centroid[owner], normal[owner])), off[:-1])
@@ -430,6 +433,9 @@ class Mesh:
         tet_centroids = (tri_apex + corners.sum(axis=1)) / 4.0
         moment = _row_sums(_row_sums(v6[:, None] / 6.0 * tet_centroids, tri_off), c_off)
         centroid = moment / vol[:, None]
+        _raise_first((~np.isfinite(vol) | ~np.isfinite(moment).all(axis=1)
+                      | ~np.isfinite(diam),
+                      "cell {}: geometry overflows (coordinates too large)".format))
         non_positive = ~(vol > 0.0)
         weights, no_weights = _weights(positions, v_off, vertex_ids, apex, centroid, diam,
                                        non_positive)

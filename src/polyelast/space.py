@@ -7,9 +7,9 @@ constrains every bubble to zero through the same masking path used for
 Dirichlet conditions, so that both variants share one assembly code path.
 
 All reconstruction operators are linear in the DOF vector.
-`ReconstructionOperators` builds them for all cells at once as global sparse
-matrices, which the assembly, the norms and the diagnostics consume; the
-per-cell functions are views of the same builder on one cell.
+`ReconstructionOperators` builds them as sparse matrices for runs of cells
+of bounded size (`operator_chunks`), over which the assembly, the norms and
+the diagnostics sum; the per-cell functions are views of it on one cell.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ DIM = 3
 # tracks the exact divergence down to roundoff (the property that makes the
 # enrichment effective for large lambda)
 INTERPOLATION_QUAD_DEGREE = 23
+
+# the most local-matrix entries (sum over cells of n_loc**2) of one run of
+# `operator_chunks`: 1,024 tetrahedra (16 local DOFs) or 291 hexahedra (30)
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -211,36 +215,62 @@ def local_dofs(mesh: Mesh, cid: int) -> np.ndarray:
 
 
 class ReconstructionOperators:
-    """The cell reconstructions of `cells` (default: all cells; k of them) as
-    global sparse linear maps of the DOF vector, of length N = 3*n_v + n_f,
-    built in one batch from the mesh's CSR arrays:
+    """The cell reconstructions of `cells` (k of them) as sparse linear maps
+    of the entries of the DOF vector on `dofs`, the n DOFs of these cells in
+    ascending order, built in one batch from the mesh's CSR arrays:
 
-    - `gradient` (9k, N): row 9*c + 3*i + j is d u_i / d x_j on cell cells[c];
-    - `strain` (9k, N) and `divergence` (k, N): row combinations of it;
-    - `mean` (3k, N): the convex-weight average of the cell vertex values;
-    - `fit` (3m, N), one row triple per cell vertex s (m pairs in all):
+    - `gradient` (9k, n), built on first use like `fit`: row 9*c + 3*i + j is
+      d u_i / d x_j on cell cells[c];
+    - `mean` (3k, n): the convex-weight average of the cell vertex values;
+    - `fit` (3m, n), one row triple per cell vertex s (m pairs in all):
       v_s - P(x_s), with P the affine cell reconstruction;
 
     with the scalings `volume` (k,), `fit_scale` (3m,), the h_K**(DIM-2) of
-    the cell of each fit row, and `bubble_scale` (N,), zero on vertex DOFs
-    and on each bubble the sum of h_K**(DIM-2) over the cells of its face.
-    Nothing is stored on the mesh.
+    the cell of each fit row, and `bubble_scale` (n,), zero on vertex DOFs
+    and on each bubble the sum of h_K**(DIM-2) over the cells in `cells` of
+    its face.  Nothing is stored on the mesh.
     """
 
-    def __init__(self, mesh: Mesh, cells=None):
+    def __init__(self, mesh: Mesh, cells):
         self.mesh = mesh
-        self.cells = cells = (np.arange(mesh.n_cells) if cells is None
-                              else np.asarray(cells, dtype=int))
+        self.cells = cells = np.asarray(cells, dtype=int)
         k = len(cells)
-        n_vdofs = 3 * mesh.n_vertices
-        self.n_dofs = n_vdofs + mesh.n_faces
         self.volume = mesh.cell_volume[cells]
-        ij = np.arange(9).reshape(3, 3)
 
+        self._face_entries, self._cell_of_face = row_entries(mesh.cell_face_offsets, cells)
+        faces = mesh.cell_face_ids[self._face_entries]
+        entries_v, cell_of_vertex = row_entries(mesh.cell_vertex_offsets, cells)
+        self._vertices, vertex_col = np.unique(mesh.cell_vertex_ids[entries_v],
+                                               return_inverse=True)
+        bubbles, self._bubble_col = np.unique(faces, return_inverse=True)
+        self.dofs = np.concatenate([(3 * self._vertices[:, None] + np.arange(3)).ravel(),
+                                    3 * mesh.n_vertices + bubbles])
+        self.n_dofs, n_vdofs = len(self.dofs), 3 * len(self._vertices)
+
+        # per cell vertex s and component j: the column of v_s,j and the mean row
+        component = np.tile(np.arange(3), len(entries_v))
+        self._vertex_dof = 3 * np.repeat(vertex_col, 3) + component
+        self._mean_row = 3 * np.repeat(cell_of_vertex, 3) + component
+        self._offsets = (mesh.positions[mesh.cell_vertex_ids[entries_v]]
+                         - mesh.cell_centroid[cells][cell_of_vertex])
+        self.mean = sp.csr_matrix(
+            (np.repeat(mesh._cell_weights[entries_v], 3), (self._mean_row, self._vertex_dof)),
+            shape=(3 * k, self.n_dofs))
+
+        scale = mesh.cell_diameter[cells] ** (DIM - 2)
+        self.fit_scale = np.repeat(scale[cell_of_vertex], 3)
+        self.bubble_scale = np.zeros(self.n_dofs)
+        self.bubble_scale[n_vdofs:] = np.bincount(self._bubble_col,
+                                                  weights=scale[self._cell_of_face],
+                                                  minlength=len(bubbles))
+
+    @cached_property
+    def gradient(self) -> sp.csr_matrix:
         # |f|/|K| (face average + bubble * normal) tensor outward normal,
         # summed over the faces of the cell
-        entries, cell_of_face = row_entries(mesh.cell_face_offsets, cells)
+        mesh, entries, cell_of_face = self.mesh, self._face_entries, self._cell_of_face
         faces = mesh.cell_face_ids[entries]
+        ij = np.arange(9).reshape(3, 3)
         n_out = mesh.cell_face_signs[entries, None] * mesh.face_normal[faces]
         coeff = mesh.face_area[faces] / self.volume[cell_of_face]
         loop, face_of_vertex = row_entries(mesh.face_loop_offsets, faces)
@@ -248,42 +278,21 @@ class ReconstructionOperators:
         vertex_vals = weight[:, None, None] * n_out[face_of_vertex, None, :]
         bubble_vals = coeff[:, None, None] * np.einsum("fi,fj->fij", mesh.face_normal[faces],
                                                         n_out)
+        loop_col = np.searchsorted(self._vertices, mesh.face_loop_vertices[loop])
         rows = np.concatenate([(9 * cell_of_face[face_of_vertex, None, None] + ij).ravel(),
                                (9 * cell_of_face[:, None, None] + ij).ravel()])
-        cols = np.concatenate([(3 * mesh.face_loop_vertices[loop, None, None] + ij // 3).ravel(),
-                               np.repeat(n_vdofs + faces, 9)])
+        cols = np.concatenate([(3 * loop_col[:, None, None] + ij // 3).ravel(),
+                               np.repeat(3 * len(self._vertices) + self._bubble_col, 9)])
         vals = np.concatenate([np.broadcast_to(vertex_vals, (len(loop), 3, 3)).ravel(),
                                bubble_vals.ravel()])
-        self.gradient = sp.csr_matrix((vals, (rows, cols)), shape=(9 * k, self.n_dofs))
+        return sp.csr_matrix((vals, (rows, cols)), shape=(9 * len(self.cells), self.n_dofs))
 
-        # per cell vertex s and component j: the DOF of v_s,j and the mean row
-        entries, cell_of_vertex = row_entries(mesh.cell_vertex_offsets, cells)
-        component = np.tile(np.arange(3), len(entries))
-        self._vertex_dof = 3 * np.repeat(mesh.cell_vertex_ids[entries], 3) + component
-        self._mean_row = 3 * np.repeat(cell_of_vertex, 3) + component
-        self._offsets = (mesh.positions[mesh.cell_vertex_ids[entries]]
-                         - mesh.cell_centroid[cells][cell_of_vertex])
-        self.mean = sp.csr_matrix(
-            (np.repeat(mesh._cell_weights[entries], 3), (self._mean_row, self._vertex_dof)),
-            shape=(3 * k, self.n_dofs))
-
-        scale = mesh.cell_diameter[cells] ** (DIM - 2)
-        self.fit_scale = np.repeat(scale[cell_of_vertex], 3)
-        self.bubble_scale = np.zeros(self.n_dofs)
-        self.bubble_scale[n_vdofs:] = np.bincount(faces, weights=scale[cell_of_face],
-                                                  minlength=mesh.n_faces)
-
-    def _per_cell(self, block: np.ndarray) -> sp.csr_matrix:
-        """Rows combining the 9 gradient rows of each cell by `block`."""
-        return sp.kron(sp.identity(len(self.cells)), block, format="csr") @ self.gradient
-
-    @cached_property
-    def strain(self) -> sp.csr_matrix:
-        return self._per_cell(_SYMMETRIC_PART)
-
-    @cached_property
-    def divergence(self) -> sp.csr_matrix:
-        return self._per_cell(_TRACE)
+    def energy_form(self, strain_weight: float, divergence_weight: float) -> sp.csr_matrix:
+        """Matrix of sum_K |K| (a strain(u):strain(v) + b div(u) div(v)), with
+        a = `strain_weight`, b = `divergence_weight`: G^T (|K| (a S + b T^T T)) G."""
+        block = strain_weight * _SYMMETRIC_PART + divergence_weight * (_TRACE.T @ _TRACE)
+        weighted = sp.kron(sp.diags(self.volume), block, format="csr")
+        return (self.gradient.T @ (weighted @ self.gradient)).tocsr()
 
     @cached_property
     def fit(self) -> sp.csr_matrix:
@@ -306,18 +315,42 @@ class ReconstructionOperators:
         both scaled by h_K**(DIM-2)."""
         return self.fit.T @ sp.diags(self.fit_scale) @ self.fit + sp.diags(self.bubble_scale)
 
-    def stabilization_energy(self, values: np.ndarray) -> float:
-        """S(v, v), evaluated in factored form (vertex-fit residual and bubble
-        values squared after subtraction) so that near-kernel vectors give
-        exact zeros instead of cancellation noise."""
-        return float(self.fit_scale @ (self.fit @ values) ** 2
-                     + self.bubble_scale @ values**2)
+    def stabilization_energy(self, local: np.ndarray):
+        """S(v, v) of DOF vectors with entries `local` on `dofs`, evaluated in
+        factored form (vertex-fit residual and bubble values squared after
+        subtraction) so that near-kernel vectors give exact zeros instead of
+        cancellation noise."""
+        return self.fit_scale @ (self.fit @ local) ** 2 + self.bubble_scale @ local**2
 
-    def cell_integrals(self, field: Callable, quad_degree: int) -> np.ndarray:
-        """Integral of `field` over each cell, by the batched cell quadrature
-        evaluated in chunks of cells."""
-        return _integrals(self.mesh, "cell", quad_degree, lambda points, at: field(points),
-                          self.cells)
+
+def operator_chunks(mesh: Mesh):
+    """`ReconstructionOperators` over runs of consecutive cells, in order,
+    with at most `_CHUNK_ENTRIES` local-matrix entries in all (or one cell,
+    where it alone has more), so that the memory the operators and their
+    products take does not grow with the mesh."""
+    n_loc = 3 * np.diff(mesh.cell_vertex_offsets) + np.diff(mesh.cell_face_offsets)
+    ends = np.concatenate([[0], np.cumsum(n_loc**2)])
+    lo = 0
+    while lo < mesh.n_cells:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _CHUNK_ENTRIES, "right")) - 1)
+        yield ReconstructionOperators(mesh, np.arange(lo, hi))
+        lo = hi
+
+
+def cell_fields(mesh: Mesh, values: np.ndarray):
+    """The gradient (n_cells, 3, 3[, s]) and the vertex mean (n_cells, 3[, s])
+    on every cell of the DOF vectors `values` (N[, s]), over `operator_chunks`."""
+    gradients, means = [], []
+    for ops in operator_chunks(mesh):
+        local = values[ops.dofs]
+        gradients.append((ops.gradient @ local).reshape((-1, 3, 3) + values.shape[1:]))
+        means.append((ops.mean @ local).reshape((-1, 3) + values.shape[1:]))
+    return np.concatenate(gradients), np.concatenate(means)
+
+
+def stabilization_energies(mesh: Mesh, values: np.ndarray):
+    """S(v, v) of the DOF vectors `values` (N[, s]), over `operator_chunks`."""
+    return sum(ops.stabilization_energy(values[ops.dofs]) for ops in operator_chunks(mesh))
 
 
 @dataclass(frozen=True)
@@ -339,7 +372,8 @@ class CellReconstruction:
 def cell_gradient_operator(mesh: Mesh, cid: int) -> np.ndarray:
     """Matrix (9, n_loc) mapping local cell DOFs to the row-major entries of
     the constant cell gradient."""
-    return ReconstructionOperators(mesh, [cid]).gradient[:, local_dofs(mesh, cid)].toarray()
+    ops = ReconstructionOperators(mesh, [cid])
+    return ops.gradient[:, np.searchsorted(ops.dofs, local_dofs(mesh, cid))].toarray()
 
 
 def strain_operator(grad_op: np.ndarray) -> np.ndarray:
@@ -352,13 +386,13 @@ def cell_reconstructions(mesh: Mesh, cid: int,
     """Gradient, symmetric strain, divergence, vertex-average displacement and
     the affine displacement reconstruction of a cell."""
     ops = ReconstructionOperators(mesh, [cid])
-    grad = (ops.gradient @ func.values).reshape(3, 3)
+    grad = (ops.gradient @ func.values[ops.dofs]).reshape(3, 3)
     strain = 0.5 * (grad + grad.T)
     return CellReconstruction(
         gradient=grad,
         strain=strain,
         divergence=float(np.trace(strain)),
-        mean_value=ops.mean @ func.values,
+        mean_value=ops.mean @ func.values[ops.dofs],
         centroid=mesh.cell_centroid[cid],
     )
 
@@ -372,13 +406,14 @@ def stress(strain: np.ndarray, divergence: float,
 def stabilization_local(mesh: Mesh, cid: int, dofmap: DofMap) -> np.ndarray:
     """Local stabilization Gram matrix over the cell DOFs: the vertex-fit
     penalty plus the bubble penalty, both scaled by h_K**(DIM-2)."""
-    dofs = dofmap.cell_dofs(cid)
-    return ReconstructionOperators(mesh, [cid]).stabilization()[dofs][:, dofs].toarray()
+    ops = ReconstructionOperators(mesh, [cid])
+    cols = np.searchsorted(ops.dofs, dofmap.cell_dofs(cid))
+    return ops.stabilization()[cols][:, cols].toarray()
 
 
 def stabilization_energy(mesh: Mesh, func: DiscreteFunction) -> float:
     """Global stabilization energy S(v, v)."""
-    return ReconstructionOperators(mesh).stabilization_energy(func.values)
+    return float(stabilization_energies(mesh, func.values))
 
 
 # -- interpolation ------------------------------------------------------------

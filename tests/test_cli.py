@@ -169,3 +169,28 @@ def test_check_rejects_non_finite_coordinate(tmp_path, capfd):
     assert out == ""
     # the message alone: nothing reaches LAPACK, which would print to stderr
     assert err == "error: vertex 5: non-finite coordinate\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--mesh", "tet:12", "--lambda", "nan"], "lambda must be finite"),
+    (["solve", "--mesh", "no/such/file.poly", "--lambda", "1", "--mu", "inf"],
+     "mu must be finite"),
+    (["convergence", "--mesh-series", "tet:8", "--lambda", "1,nan"],
+     "lambda must be finite"),
+    (["convergence", "--mesh-series", "tet:2,no/such/file.poly", "--lambda", "1,1e3",
+      "--mu1", "-1"], "mu1 must be positive"),
+    (["convergence", "--mesh-series", "tet:8", "--lambda", "1,0"],
+     "example2 requires lambda > 0"),
+])
+def test_material_is_validated_before_any_mesh_is_built(argv, message, monkeypatch,
+                                                         capsys):
+    import polyelast.analysis as analysis
+
+    builds = []
+    monkeypatch.setattr(analysis, "generate_structured_mesh",
+                        lambda *args, **kwargs: builds.append(args))
+    monkeypatch.setattr(analysis, "parse_polymesh",
+                        lambda *args, **kwargs: builds.append(args))
+    code = main([argv[0], "--case", "example2", *argv[1:]])
+    assert (code, builds) == (1, [])
+    assert capsys.readouterr().err == f"error: {message}\n"

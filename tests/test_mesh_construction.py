@@ -149,3 +149,16 @@ def test_construction_reports_lowest_failing_id(text, message):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
             parse_polymesh(text)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])
+def test_huge_coordinates_report_the_overflow(scale):
+    from polyelast.mesh import Mesh
+
+    mesh = generate_structured_mesh("hex", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(MeshError, match=r"^face 0: geometry overflows \(coordinates "
+                                            r"too large\)$"):
+            Mesh(mesh.positions * scale, list(mesh.face_loops), list(mesh.cell_faces),
+                 list(mesh.cell_signs))
