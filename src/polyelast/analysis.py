@@ -25,9 +25,11 @@ import numpy as np
 
 from .assembly import (
     BoundaryConditions,
+    LambdaSplit,
     assemble_matrix,
     check_setup,
     divergence_matrix,
+    divergence_operator,
     lifted_system,
 )
 from .mesh import DEFAULT_SEED, Mesh, _integrals, generate_structured_mesh, parse_polymesh
@@ -38,7 +40,6 @@ from .space import (
     MaterialParams,
     cell_fields,
     interpolate,
-    stabilization_energies,
 )
 
 logger = logging.getLogger(__name__)
@@ -220,8 +221,7 @@ def _strain(gradients: np.ndarray) -> np.ndarray:
 def discrete_norms(mesh: Mesh, func: DiscreteFunction,
                    material: MaterialParams) -> DiscreteNorms:
     """Broken H1, energy, strain-L2 and stabilization (semi)norms."""
-    grad = cell_fields(mesh, func.values)[0]
-    s_val = stabilization_energies(mesh, func.values)
+    grad, _, s_val = cell_fields(mesh, func.values, stabilization=True)
     eps_sq = _volume_norm_sq(mesh, _strain(grad))
     energy_sq = (2.0 * material.mu * eps_sq
                  + material.lam * _volume_norm_sq(mesh, np.trace(grad, axis1=1, axis2=2))
@@ -271,10 +271,10 @@ def consistency_error(mesh: Mesh, gradient_fn: Callable,
     """Gradient-consistency error of the interpolant: L2 distance between the
     exact gradient and the piecewise-constant reconstruction, plus the
     stabilization energy, all under a square root."""
-    grad = cell_fields(mesh, interpolant.values)[0]
+    grad, _, s_val = cell_fields(mesh, interpolant.values, stabilization=True)
     squares = _integrals(mesh, "cell", quad_degree, lambda points, at: np.sum(
         (gradient_fn(points) - grad[at]) ** 2, axis=(1, 2)))
-    return float(np.sqrt(squares.sum() + stabilization_energies(mesh, interpolant.values)))
+    return float(np.sqrt(squares.sum() + s_val))
 
 
 def adjoint_residual(mesh: Mesh, stress_fn: Callable, force_fn: Callable,
@@ -302,8 +302,7 @@ def korn_ratio(mesh: Mesh, dofmap: DofMap, sample_count: int,
     values = np.zeros((dofmap.vector_size, sample_count))
     rng = np.random.default_rng(seed)
     values[dofmap.free_indices] = rng.standard_normal((sample_count, dofmap.n_free)).T
-    grad = cell_fields(mesh, values)[0]
-    s_val = stabilization_energies(mesh, values)
+    grad, _, s_val = cell_fields(mesh, values, stabilization=True)
     den = mesh.cell_volume @ (_strain(grad) ** 2).sum(axis=(1, 2)) + s_val
     if np.any(den <= 0.0):
         raise ArithmeticError("Korn denominator vanished for a nonzero "
@@ -414,8 +413,12 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
     relative errors and observed rates.
 
     The matrix A0 + lambda*K is split once per mesh: A0 from `assemble_matrix`
-    at lambda = 0 and K from `divergence_matrix`.  The exact fields and hence
-    the loads and liftings depend on lambda and are assembled per lambda.
+    at lambda = 0, and with bubbles the divergence map D of K = D^T W D (from
+    `divergence_operator`, reduced to the free DOFs once in a `LambdaSplit`)
+    for the mixed solve of every lambda > 0; K itself (`divergence_matrix`) is
+    formed only for the penalty systems of the no-bubble ablation.  The exact
+    fields and hence the loads and liftings depend on lambda and are assembled
+    per lambda.
     Every lambda (and mu, mu1) is validated before the first mesh is built.
     In the no-bubble ablation mode, rates are reported only for lambda < 1e3
     rows, where the error still behaves like a power of h.
@@ -435,14 +438,23 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
         check_setup(mesh, dofmap, BoundaryConditions(tags))
         start = time.perf_counter()
         a0 = assemble_matrix(mesh, dofmap, lambda_free)
-        k = divergence_matrix(mesh)
-        logger.info("%s: lambda split built in %.2fs, nnz A0=%d K=%d", source.label,
-                    time.perf_counter() - start, a0.nnz, k.nnz)
+        if bubbles:
+            split = LambdaSplit.build(a0, divergence_operator(mesh), mesh.cell_volume,
+                                      mu, dofmap)
+            parts = f"D={split.full_divergence.nnz}, K=D^T W D"
+        else:
+            k = divergence_matrix(mesh)
+            parts = f"K={k.nnz}"
+        logger.info("%s: lambda split built in %.2fs, nnz A0=%d %s", source.label,
+                    time.perf_counter() - start, a0.nnz, parts)
         for lam, case in zip(lambdas, cases):
             start = time.perf_counter()
-            system = lifted_system(mesh, dofmap, (a0 + lam * k).tocsr(),
-                                   case.boundary_conditions(mesh), case.body_force,
-                                   quad_degree)
+            if not bubbles:
+                matrix = (a0 + lam * k).tocsr()
+            else:
+                matrix = split.at(lam) if lam > 0 else a0
+            system = lifted_system(mesh, dofmap, matrix, case.boundary_conditions(mesh),
+                                   case.body_force, quad_degree)
             result = solve_spd(system, solver_config)
             reference = interpolate(mesh, dofmap, case.displacement)
             err = relative_error(mesh, result.function, reference, case.strain,

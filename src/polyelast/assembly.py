@@ -14,11 +14,18 @@ and bubbles receive no volume load.  Dirichlet values
 are imposed by lifting: constrained DOFs are filled from the boundary data
 (vertex point values, interpolator bubble moments) and eliminated from the
 reduced system.
+
+With bubbles and lambda > 0 the reduced system keeps the matrix split
+(`LambdaSplit`): A0, the divergence map D with K = D^T W D (W the cell
+volumes) and the lambda-free loads.  The solver works on the mixed system
+[A0, D^T W; W D, -W/lambda] they define, and A0 + lambda*K is formed only
+where it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -70,24 +77,89 @@ class BoundaryConditions:
         return np.flatnonzero(mesh.face_on_boundary & ~self.dirichlet_faces)
 
 
-@dataclass
+@dataclass(frozen=True)
+class LambdaSplit:
+    """The matrix A0 + lam * D^T W D kept split: unconstrained (`full_a0`,
+    `full_divergence`, D of shape (n_cells, N)) and on the free DOFs of a
+    DofMap, where `divergence` is D_f and `mixed` the lambda-free part
+    [A0_ff, D_f^T W; W D_f, 0] of the mixed matrix, with W = diag(`volume`),
+    the cell volumes, and the shear modulus `mu`.  `load_u` and `load_p` are
+    the lambda-free loads of a reduced system: b = load_u + lam * D_f^T load_p."""
+
+    full_a0: sp.csr_matrix
+    full_divergence: sp.csr_matrix
+    divergence: sp.csr_matrix
+    mixed: sp.csr_matrix
+    volume: np.ndarray
+    mu: float
+    lam: float = 0.0
+    load_u: np.ndarray | None = None
+    load_p: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, full_a0: sp.csr_matrix, full_divergence: sp.csr_matrix,
+              volume: np.ndarray, mu: float, dofmap: DofMap) -> "LambdaSplit":
+        """The split on the free DOFs of `dofmap`, reduced once for every lambda."""
+        free = dofmap.free_indices
+        divergence = full_divergence[:, free].tocsr()
+        weighted = (sp.diags(volume) @ divergence).tocsr()
+        mixed = sp.bmat([[full_a0[free][:, free], weighted.T], [weighted, None]],
+                        format="csr")
+        return cls(full_a0, full_divergence, divergence, mixed, volume, float(mu))
+
+    def at(self, lam: float) -> "LambdaSplit":
+        """The same split at another lambda (the blocks are shared)."""
+        return replace(self, lam=float(lam))
+
+    @property
+    def a0(self) -> sp.csr_matrix:
+        """A0_ff, the leading block of `mixed`."""
+        n = self.divergence.shape[1]
+        return self.mixed[:n, :n]
+
+    def penalty_matrix(self, full: bool = False) -> sp.csr_matrix:
+        """A0 + lam * D^T W D, on the free DOFs or (`full`) unconstrained."""
+        a0, d = (self.full_a0, self.full_divergence) if full else (self.a0, self.divergence)
+        return (a0 + self.lam * (d.T @ sp.diags(self.volume) @ d)).tocsr()
+
+
 class SparseSystem:
     """Reduced SPD system with its lifting.
 
     `matrix` is the free-free block in CSR form, `load` the reduced right-hand
     side, `lifting` the full-length vector holding the Dirichlet DOF values.
     `full_matrix` keeps the unconstrained operator for energy checks and for
-    recovering reduced right-hand sides.
+    recovering reduced right-hand sides.  A system with a `split` (a
+    `LambdaSplit` carrying its loads) may be given no matrices: they are
+    formed from the split when first read.
     """
 
-    matrix: sp.csr_matrix
-    load: np.ndarray
-    lifting: np.ndarray
-    free_indices: np.ndarray
-    constrained_indices: np.ndarray
-    dofmap: DofMap
-    full_matrix: sp.csr_matrix
-    full_load: np.ndarray
+    def __init__(self, matrix: sp.csr_matrix | None, load: np.ndarray,
+                 lifting: np.ndarray, free_indices: np.ndarray,
+                 constrained_indices: np.ndarray, dofmap: DofMap,
+                 full_matrix: sp.csr_matrix | None, full_load: np.ndarray,
+                 split: LambdaSplit | None = None):
+        if split is None and (matrix is None or full_matrix is None):
+            raise AssemblyError("a system without a split needs its matrices")
+        if matrix is not None:
+            self.matrix = matrix
+        if full_matrix is not None:
+            self.full_matrix = full_matrix
+        self.load = load
+        self.lifting = lifting
+        self.free_indices = free_indices
+        self.constrained_indices = constrained_indices
+        self.dofmap = dofmap
+        self.full_load = full_load
+        self.split = split
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return self.split.penalty_matrix()
+
+    @cached_property
+    def full_matrix(self) -> sp.csr_matrix:
+        return self.split.penalty_matrix(full=True)
 
     @property
     def n_free(self) -> int:
@@ -208,6 +280,18 @@ def divergence_matrix(mesh: Mesh) -> sp.csr_matrix:
     return _global_sum(mesh, lambda ops: ops.energy_form(0.0, 1.0))
 
 
+def divergence_operator(mesh: Mesh) -> sp.csr_matrix:
+    """D (n_cells, N): the divergence of every cell, the trace of its gradient,
+    as a map of the DOF vector, so that K = D^T W D with W the cell volumes."""
+    size = 3 * mesh.n_vertices + mesh.n_faces
+    rows = []
+    for ops in operator_chunks(mesh):
+        local = ops.divergence
+        rows.append(sp.csr_matrix((local.data, ops.dofs[local.indices], local.indptr),
+                                  shape=(len(ops.cells), size)))
+    return sp.vstack(rows, format="csr")
+
+
 def assemble_load(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions,
                   body_force: Callable | None, quad_degree: int = 4) -> np.ndarray:
     """Unconstrained load vector: volume force plus Neumann surface loads."""
@@ -261,10 +345,20 @@ def check_dirichlet_coverage(mesh: Mesh, dofmap: DofMap):
             )
 
 
-def reduce_system(full_matrix: sp.csr_matrix, full_load: np.ndarray,
+def reduce_system(full_matrix: sp.csr_matrix | LambdaSplit, full_load: np.ndarray,
                   lifting: np.ndarray, dofmap: DofMap) -> SparseSystem:
-    """Eliminate constrained DOFs by lifting."""
+    """Eliminate constrained DOFs by lifting.  Given a `LambdaSplit` (built on
+    `dofmap`) for the matrix, the system carries the split with its
+    lambda-free loads and forms no matrix."""
     free = dofmap.free_indices
+    if isinstance(full_matrix, LambdaSplit):
+        split = full_matrix
+        load_u = full_load[free] - (split.full_a0 @ lifting)[free]
+        load_p = -split.volume * (split.full_divergence @ lifting)
+        return SparseSystem(
+            None, load_u + split.lam * (split.divergence.T @ load_p), lifting, free,
+            dofmap.constrained_indices, dofmap, None, full_load,
+            split=replace(split, load_u=load_u, load_p=load_p))
     reduced = full_matrix[free][:, free].tocsr()
     rhs = full_load[free] - (full_matrix @ lifting)[free]
     return SparseSystem(
@@ -282,10 +376,17 @@ def reduce_system(full_matrix: sp.csr_matrix, full_load: np.ndarray,
 def assemble(mesh: Mesh, dofmap: DofMap, material: MaterialParams,
              bcs: BoundaryConditions, body_force: Callable | None = None,
              quad_degree: int = 4) -> SparseSystem:
-    """Assemble the reduced linear system of the scheme."""
+    """Assemble the reduced linear system of the scheme: with bubbles and
+    lambda > 0 from the `LambdaSplit` of A0 (`assemble_matrix` at lambda = 0)
+    and D, otherwise from the matrix."""
     check_setup(mesh, dofmap, bcs)
-    return lifted_system(mesh, dofmap, assemble_matrix(mesh, dofmap, material), bcs,
-                         body_force, quad_degree)
+    if dofmap.bubbles_enabled and material.lam > 0:
+        a0 = assemble_matrix(mesh, dofmap, replace(material, lam=0.0))
+        matrix = LambdaSplit.build(a0, divergence_operator(mesh), mesh.cell_volume,
+                                   material.mu, dofmap).at(material.lam)
+    else:
+        matrix = assemble_matrix(mesh, dofmap, material)
+    return lifted_system(mesh, dofmap, matrix, bcs, body_force, quad_degree)
 
 
 def check_setup(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions):
@@ -300,11 +401,12 @@ def check_setup(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions):
     check_dirichlet_coverage(mesh, dofmap)
 
 
-def lifted_system(mesh: Mesh, dofmap: DofMap, full_matrix: sp.csr_matrix,
+def lifted_system(mesh: Mesh, dofmap: DofMap, full_matrix: sp.csr_matrix | LambdaSplit,
                   bcs: BoundaryConditions, body_force: Callable | None = None,
                   quad_degree: int = 4) -> SparseSystem:
-    """The reduced system of `full_matrix`, with the load and the lifting of
-    `bcs` and `body_force` (the part of `assemble` after its matrix)."""
+    """The reduced system of `full_matrix` (or its `LambdaSplit`), with the
+    load and the lifting of `bcs` and `body_force` (the part of `assemble`
+    after its matrix)."""
     full_load = assemble_load(mesh, dofmap, bcs, body_force, quad_degree)
     lifting = dirichlet_lifting(mesh, dofmap, bcs)
     if not np.isfinite(lifting).all() or not np.isfinite(full_load).all():

@@ -33,6 +33,8 @@ from .quadrature import tet_rule, triangle_rule
 
 PLANARITY_RTOL = 1e-9
 DEGENERATE_AREA_RTOL = 1e-14
+# below this extent the squared area of a face underflows the normal double range
+_TINY_LENGTH = np.finfo(float).tiny ** 0.25
 # `_convex_weights` (and its batched first solve in `_weights`): uniform weights
 # within this relative distance, the largest relative residual, the least weight
 UNIFORM_RTOL, RESIDUAL_RTOL, NEGATIVE_TOL = 1e-13, 1e-10, -1e-13
@@ -343,6 +345,12 @@ class Mesh:
         diam = _diameters(self.positions, off, loops)
         _raise_first((~np.isfinite(vec_norm) | ~np.isfinite(diam),
                      "face {}: geometry overflows (coordinates too large)".format))
+        if np.any(vec_norm == 0.0):  # degenerate, or distinct points whose squared
+            # area falls below the double range
+            spread = np.abs(self.positions[loops] - self.positions[loops[off[:-1]]][owner])
+            extent = np.maximum.reduceat(spread.max(axis=1), off[:-1])
+            _raise_first(((vec_norm == 0.0) & (extent > 0.0) & (extent < _TINY_LENGTH),
+                          "face {}: geometry underflows (coordinates too small)".format))
         normal = vec_area / vec_norm[:, None]
         tri_signed = np.zeros(len(tris))
         for rows, entries in _groups(tri_off):  # stacked products add as `cross @ normal`

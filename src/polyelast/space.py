@@ -265,27 +265,48 @@ class ReconstructionOperators:
                                                   minlength=len(bubbles))
 
     @cached_property
+    def _face_terms(self):
+        """Per face of a cell: its face id, outward normal and |f|/|K|; per
+        vertex of its loop: its face, its column among the vertices and |f|/|K|
+        times its convex weight."""
+        mesh, entries = self.mesh, self._face_entries
+        faces = mesh.cell_face_ids[entries]
+        n_out = mesh.cell_face_signs[entries, None] * mesh.face_normal[faces]
+        coeff = mesh.face_area[faces] / self.volume[self._cell_of_face]
+        loop, face_of_vertex = row_entries(mesh.face_loop_offsets, faces)
+        weight = coeff[face_of_vertex] * mesh._face_weights[loop]
+        loop_col = np.searchsorted(self._vertices, mesh.face_loop_vertices[loop])
+        return faces, n_out, coeff, face_of_vertex, loop_col, weight
+
+    @cached_property
     def gradient(self) -> sp.csr_matrix:
         # |f|/|K| (face average + bubble * normal) tensor outward normal,
         # summed over the faces of the cell
-        mesh, entries, cell_of_face = self.mesh, self._face_entries, self._cell_of_face
-        faces = mesh.cell_face_ids[entries]
-        ij = np.arange(9).reshape(3, 3)
-        n_out = mesh.cell_face_signs[entries, None] * mesh.face_normal[faces]
-        coeff = mesh.face_area[faces] / self.volume[cell_of_face]
-        loop, face_of_vertex = row_entries(mesh.face_loop_offsets, faces)
-        weight = coeff[face_of_vertex] * mesh._face_weights[loop]
+        faces, n_out, coeff, face_of_vertex, loop_col, weight = self._face_terms
+        cell_of_face, ij = self._cell_of_face, np.arange(9).reshape(3, 3)
         vertex_vals = weight[:, None, None] * n_out[face_of_vertex, None, :]
-        bubble_vals = coeff[:, None, None] * np.einsum("fi,fj->fij", mesh.face_normal[faces],
-                                                        n_out)
-        loop_col = np.searchsorted(self._vertices, mesh.face_loop_vertices[loop])
+        bubble_vals = coeff[:, None, None] * np.einsum("fi,fj->fij",
+                                                        self.mesh.face_normal[faces], n_out)
         rows = np.concatenate([(9 * cell_of_face[face_of_vertex, None, None] + ij).ravel(),
                                (9 * cell_of_face[:, None, None] + ij).ravel()])
         cols = np.concatenate([(3 * loop_col[:, None, None] + ij // 3).ravel(),
                                np.repeat(3 * len(self._vertices) + self._bubble_col, 9)])
-        vals = np.concatenate([np.broadcast_to(vertex_vals, (len(loop), 3, 3)).ravel(),
+        vals = np.concatenate([np.broadcast_to(vertex_vals, (len(loop_col), 3, 3)).ravel(),
                                bubble_vals.ravel()])
         return sp.csr_matrix((vals, (rows, cols)), shape=(9 * len(self.cells), self.n_dofs))
+
+    @cached_property
+    def divergence(self) -> sp.csr_matrix:
+        """(k, n): the trace of `gradient`, the divergence of each cell."""
+        faces, n_out, coeff, face_of_vertex, loop_col, weight = self._face_terms
+        cell_of_face = self._cell_of_face
+        rows = np.concatenate([np.repeat(cell_of_face[face_of_vertex], 3), cell_of_face])
+        cols = np.concatenate([(3 * loop_col[:, None] + np.arange(3)).ravel(),
+                               3 * len(self._vertices) + self._bubble_col])
+        vals = np.concatenate([(weight[:, None] * n_out[face_of_vertex]).ravel(),
+                               coeff * np.einsum("fi,fi->f", self.mesh.face_normal[faces],
+                                                 n_out)])
+        return sp.csr_matrix((vals, (rows, cols)), shape=(len(self.cells), self.n_dofs))
 
     def energy_form(self, strain_weight: float, divergence_weight: float) -> sp.csr_matrix:
         """Matrix of sum_K |K| (a strain(u):strain(v) + b div(u) div(v)), with
@@ -337,20 +358,19 @@ def operator_chunks(mesh: Mesh):
         lo = hi
 
 
-def cell_fields(mesh: Mesh, values: np.ndarray):
+def cell_fields(mesh: Mesh, values: np.ndarray, stabilization: bool = False):
     """The gradient (n_cells, 3, 3[, s]) and the vertex mean (n_cells, 3[, s])
-    on every cell of the DOF vectors `values` (N[, s]), over `operator_chunks`."""
-    gradients, means = [], []
+    on every cell of the DOF vectors `values` (N[, s]), over `operator_chunks`;
+    with `stabilization`, also S(v, v) of each vector, from the same walk."""
+    gradients, means, energy = [], [], 0
     for ops in operator_chunks(mesh):
         local = values[ops.dofs]
         gradients.append((ops.gradient @ local).reshape((-1, 3, 3) + values.shape[1:]))
         means.append((ops.mean @ local).reshape((-1, 3) + values.shape[1:]))
-    return np.concatenate(gradients), np.concatenate(means)
-
-
-def stabilization_energies(mesh: Mesh, values: np.ndarray):
-    """S(v, v) of the DOF vectors `values` (N[, s]), over `operator_chunks`."""
-    return sum(ops.stabilization_energy(values[ops.dofs]) for ops in operator_chunks(mesh))
+        if stabilization:
+            energy = energy + ops.stabilization_energy(local)
+    fields = np.concatenate(gradients), np.concatenate(means)
+    return fields + (energy,) if stabilization else fields
 
 
 @dataclass(frozen=True)
@@ -413,7 +433,7 @@ def stabilization_local(mesh: Mesh, cid: int, dofmap: DofMap) -> np.ndarray:
 
 def stabilization_energy(mesh: Mesh, func: DiscreteFunction) -> float:
     """Global stabilization energy S(v, v)."""
-    return float(stabilization_energies(mesh, func.values))
+    return float(cell_fields(mesh, func.values, stabilization=True)[2])
 
 
 # -- interpolation ------------------------------------------------------------

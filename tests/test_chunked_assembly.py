@@ -164,3 +164,25 @@ def test_matrix_assembly_memory_stays_near_the_matrix():
     csr_bytes = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
     assert peak <= 4.0 * csr_bytes, (peak, csr_bytes)
 
+
+
+@pytest.mark.parametrize("diagnostic", ["discrete_norms", "korn_ratio",
+                                        "consistency_error"])
+def test_diagnostics_walk_the_chunks_once(diagnostic, monkeypatch):
+    mesh = MESHES["tet:3:0.3"]()
+    case = manufactured_case("example2", lam=1e3)
+    dofmap = DofMap(mesh)
+    reference = interpolate(mesh, dofmap, case.displacement)
+    walks = []
+    chunks = space.operator_chunks
+
+    def counted(*args):
+        walks.append(1)
+        return chunks(*args)
+
+    monkeypatch.setattr(space, "operator_chunks", counted)
+    {"discrete_norms": lambda: discrete_norms(mesh, reference, case.material),
+     "korn_ratio": lambda: korn_ratio(mesh, dofmap, 4),
+     "consistency_error": lambda: consistency_error(mesh, case.gradient, reference),
+     }[diagnostic]()
+    assert len(walks) == 1

@@ -194,3 +194,20 @@ def test_material_is_validated_before_any_mesh_is_built(argv, message, monkeypat
     code = main([argv[0], "--case", "example2", *argv[1:]])
     assert (code, builds) == (1, [])
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_suite_interpolates_affine_fields_at_degree_5(monkeypatch):
+    import polyelast.cli as cli
+
+    degrees = []
+    interpolate = cli.interpolate
+
+    def spy(mesh, dofmap, field, *args):
+        degrees.append(args)
+        return interpolate(mesh, dofmap, field, *args)
+
+    monkeypatch.setattr(cli, "interpolate", spy)
+    results = run_check_suite(generate_structured_mesh("tet", 3, perturb=0.3))
+    assert all(ok for _, ok, _ in results), results
+    # the identity, the solenoidal field at the default degree, the affine reference
+    assert degrees == [(5,), (), (5,)]

@@ -162,3 +162,25 @@ def test_huge_coordinates_report_the_overflow(scale):
                                             r"too large\)$"):
             Mesh(mesh.positions * scale, list(mesh.face_loops), list(mesh.cell_faces),
                  list(mesh.cell_signs))
+
+
+@pytest.mark.parametrize("scale", [1e-90, 1e-100, 1e-200])
+def test_tiny_coordinates_report_the_underflow(scale):
+    from polyelast.mesh import Mesh
+
+    mesh = generate_structured_mesh("hex", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(MeshError, match=r"^face 0: geometry underflows \(coordinates "
+                                            r"too small\)$"):
+            Mesh(mesh.positions * scale, list(mesh.face_loops), list(mesh.cell_faces),
+                 list(mesh.cell_signs))
+
+
+def test_small_coordinates_above_the_underflow_build():
+    from polyelast.mesh import Mesh
+
+    mesh = generate_structured_mesh("hex", 2)
+    small = Mesh(mesh.positions * 1e-80, list(mesh.face_loops), list(mesh.cell_faces),
+                 list(mesh.cell_signs))
+    assert small.cell_volume.sum() == pytest.approx(1e-240, rel=1e-12)
