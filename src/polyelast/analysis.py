@@ -23,18 +23,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import (
-    BoundaryConditions,
-    LambdaSplit,
-    assemble_matrix,
-    check_setup,
-    divergence_matrix,
-    divergence_operator,
-    lifted_system,
-)
+from .assembly import BoundaryConditions, assemble_split, check_setup, lifted_system
 from .mesh import DEFAULT_SEED, Mesh, _integrals, generate_structured_mesh, parse_polymesh
 from .solver import SolverConfig, solve_spd
 from .space import (
+    QUAD_DEGREE,
     DiscreteFunction,
     DofMap,
     MaterialParams,
@@ -234,22 +227,20 @@ def discrete_norms(mesh: Mesh, func: DiscreteFunction,
     )
 
 
-def exact_strain_norm(mesh: Mesh, strain_fn: Callable,
-                      quad_degree: int = 4) -> float:
+def exact_strain_norm(mesh: Mesh, strain_fn: Callable) -> float:
     """L2 norm of an exact strain field over the mesh, by cell quadrature."""
-    squares = _integrals(mesh, "cell", quad_degree,
+    squares = _integrals(mesh, "cell", QUAD_DEGREE,
                          lambda points, at: np.sum(strain_fn(points) ** 2, axis=(1, 2)))
     return float(np.sqrt(squares.sum()))
 
 
 def relative_error(mesh: Mesh, solution: DiscreteFunction,
-                   reference: DiscreteFunction, strain_fn: Callable,
-                   quad_degree: int = 4) -> float:
+                   reference: DiscreteFunction, strain_fn: Callable) -> float:
     """Strain-L2 distance between the discrete solution and the interpolant
     of the exact solution, relative to the exact strain norm."""
     grad = cell_fields(mesh, solution.values - reference.values)[0]
     num_sq = _volume_norm_sq(mesh, _strain(grad))
-    den = exact_strain_norm(mesh, strain_fn, quad_degree)
+    den = exact_strain_norm(mesh, strain_fn)
     if den == 0.0:
         raise ZeroDivisionError("exact strain norm vanishes")
     return float(np.sqrt(num_sq) / den)
@@ -266,25 +257,24 @@ def compute_rate(error_coarse: float, h_coarse: float, error_fine: float,
 
 
 def consistency_error(mesh: Mesh, gradient_fn: Callable,
-                      interpolant: DiscreteFunction,
-                      quad_degree: int = 4) -> float:
+                      interpolant: DiscreteFunction) -> float:
     """Gradient-consistency error of the interpolant: L2 distance between the
     exact gradient and the piecewise-constant reconstruction, plus the
     stabilization energy, all under a square root."""
     grad, _, s_val = cell_fields(mesh, interpolant.values, stabilization=True)
-    squares = _integrals(mesh, "cell", quad_degree, lambda points, at: np.sum(
+    squares = _integrals(mesh, "cell", QUAD_DEGREE, lambda points, at: np.sum(
         (gradient_fn(points) - grad[at]) ** 2, axis=(1, 2)))
     return float(np.sqrt(squares.sum() + s_val))
 
 
 def adjoint_residual(mesh: Mesh, stress_fn: Callable, force_fn: Callable,
-                     func: DiscreteFunction, quad_degree: int = 4) -> float:
+                     func: DiscreteFunction) -> float:
     """Integration-by-parts residual of an exact stress against a discrete
     test function: sum over cells of (cell mean stress):strain(v) minus the
     force integral against the piecewise-constant displacement."""
     grad, mean = cell_fields(mesh, func.values)
-    stress_int = _integrals(mesh, "cell", quad_degree, lambda points, at: stress_fn(points))
-    force_int = _integrals(mesh, "cell", quad_degree, lambda points, at: force_fn(points))
+    stress_int = _integrals(mesh, "cell", QUAD_DEGREE, lambda points, at: stress_fn(points))
+    force_int = _integrals(mesh, "cell", QUAD_DEGREE, lambda points, at: force_fn(points))
     return float(stress_int.ravel() @ _strain(grad).ravel() - force_int.ravel() @ mean.ravel())
 
 
@@ -406,27 +396,23 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
                           lambdas: Sequence[float], *, mu: float = 1.0,
                           mu1: float | None = None, bubbles: bool = True,
                           solver_config: SolverConfig | None = None,
-                          seed: int = DEFAULT_SEED, quad_degree: int = 4,
-                          csv_path: str | None = None,
+                          seed: int = DEFAULT_SEED, csv_path: str | None = None,
                           provenance: str | None = None) -> list[ConvergenceRecord]:
     """Assemble/solve the case on every (mesh, lambda) pair and report
     relative errors and observed rates.
 
-    The matrix A0 + lambda*K is split once per mesh: A0 from `assemble_matrix`
-    at lambda = 0, and with bubbles the divergence map D of K = D^T W D (from
-    `divergence_operator`, reduced to the free DOFs once in a `LambdaSplit`)
-    for the mixed solve of every lambda > 0; K itself (`divergence_matrix`) is
-    formed only for the penalty systems of the no-bubble ablation.  The exact
-    fields and hence the loads and liftings depend on lambda and are assembled
-    per lambda.
+    The matrix A0 + lambda*K is split once per mesh by `assemble_split`, into
+    A0 and the divergence map D of K = D^T W D, and every lambda reduces the
+    split at that lambda (see `reduce_system`).  The exact fields and hence
+    the loads and liftings depend on lambda and are assembled per lambda.
     Every lambda (and mu, mu1) is validated before the first mesh is built.
     In the no-bubble ablation mode, rates are reported only for lambda < 1e3
-    rows, where the error still behaves like a power of h.
+    rows, where the error still behaves like a power of h.  A zero error (a
+    mesh with no free DOF) has no rate to it or from it.
     """
     if not lambdas:
         raise ValueError("lambda list must be non-empty")
     cases = [manufactured_case(case_name, lam=lam, mu=mu, mu1=mu1) for lam in lambdas]
-    lambda_free = MaterialParams(mu=mu, lam=0.0, mu1=mu1)  # the material of A0
     if solver_config is None:
         solver_config = SolverConfig()
     records: list[ConvergenceRecord] = []
@@ -437,32 +423,21 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
         dofmap = DofMap(mesh, bubbles_enabled=bubbles, dirichlet_faces=tags)
         check_setup(mesh, dofmap, BoundaryConditions(tags))
         start = time.perf_counter()
-        a0 = assemble_matrix(mesh, dofmap, lambda_free)
-        if bubbles:
-            split = LambdaSplit.build(a0, divergence_operator(mesh), mesh.cell_volume,
-                                      mu, dofmap)
-            parts = f"D={split.full_divergence.nnz}, K=D^T W D"
-        else:
-            k = divergence_matrix(mesh)
-            parts = f"K={k.nnz}"
-        logger.info("%s: lambda split built in %.2fs, nnz A0=%d %s", source.label,
-                    time.perf_counter() - start, a0.nnz, parts)
+        split = assemble_split(mesh, dofmap, cases[0].material)  # at lambda = 0
+        logger.info("%s: lambda split built in %.2fs, nnz A0=%d D=%d, K=D^T W D",
+                    source.label, time.perf_counter() - start, split.full_a0.nnz,
+                    split.full_divergence.nnz)
         for lam, case in zip(lambdas, cases):
             start = time.perf_counter()
-            if not bubbles:
-                matrix = (a0 + lam * k).tocsr()
-            else:
-                matrix = split.at(lam) if lam > 0 else a0
-            system = lifted_system(mesh, dofmap, matrix, case.boundary_conditions(mesh),
-                                   case.body_force, quad_degree)
+            system = lifted_system(mesh, dofmap, split.at(lam),
+                                   case.boundary_conditions(mesh), case.body_force)
             result = solve_spd(system, solver_config)
             reference = interpolate(mesh, dofmap, case.displacement)
-            err = relative_error(mesh, result.function, reference, case.strain,
-                                 quad_degree)
+            err = relative_error(mesh, result.function, reference, case.strain)
             seconds = time.perf_counter() - start
             rate = None
-            if lam in previous and not (not bubbles and lam >= 1e3):
-                err_prev, h_prev = previous[lam]
+            err_prev, h_prev = previous.get(lam, (0.0, 0.0))
+            if err_prev > 0.0 and err > 0.0 and (bubbles or lam < 1e3):
                 rate = compute_rate(err_prev, h_prev, err, mesh.h)
             previous[lam] = (err, mesh.h)
             record = ConvergenceRecord(

@@ -15,11 +15,13 @@ are imposed by lifting: constrained DOFs are filled from the boundary data
 (vertex point values, interpolator bubble moments) and eliminated from the
 reduced system.
 
-With bubbles and lambda > 0 the reduced system keeps the matrix split
-(`LambdaSplit`): A0, the divergence map D with K = D^T W D (W the cell
-volumes) and the lambda-free loads.  The solver works on the mixed system
-[A0, D^T W; W D, -W/lambda] they define, and A0 + lambda*K is formed only
-where it is read.
+The matrix is assembled once per mesh as a `LambdaSplit` (`assemble_split`):
+A0 and the divergence map D with K = D^T W D (W the cell volumes).  From
+the split at one lambda, `reduce_system` alone chooses the reduced system:
+with bubbles and lambda > 0 the split with its lambda-free loads, on whose
+mixed system [A0, D^T W; W D, -W/lambda] the solver works, so that
+A0 + lambda*K is formed only where it is read; the penalty matrix
+A0 + lambda*K in the no-bubble ablation; and A0 itself at lambda = 0.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .mesh import Mesh, _integrals, row_entries
 from .space import (
+    QUAD_DEGREE,
     DofMap,
     MaterialParams,
     ReconstructionOperators,
@@ -173,14 +176,15 @@ def _matrix(ops: ReconstructionOperators, material: MaterialParams) -> sp.csr_ma
             + material.stabilization_scale * ops.stabilization()).tocsr()
 
 
-def _global_sum(mesh: Mesh, form: Callable) -> sp.csr_matrix:
-    """The global matrix of `form(ops)` summed over `operator_chunks`, as a
-    binary counter adds: only sums of equally many chunks are added, so every
-    entry is copied O(log n) times and the partial sums stay near the total."""
+def assemble_matrix(mesh: Mesh, dofmap: DofMap,
+                    material: MaterialParams) -> sp.csr_matrix:
+    """Unconstrained global matrix, summed over `operator_chunks` as a binary
+    counter adds: only sums of equally many chunks are added, so every entry
+    is copied O(log n) times and the partial sums stay near the total."""
     size = 3 * mesh.n_vertices + mesh.n_faces
     partial = []  # the sums of 2**j chunks, j falling
     for n, ops in enumerate(operator_chunks(mesh), 1):
-        local = form(ops)  # ascending `ops.dofs`: rows and columns keep their order
+        local = _matrix(ops, material)  # ascending `ops.dofs`: rows and columns keep their order
         indptr = np.zeros(size + 1, dtype=local.indptr.dtype)
         indptr[ops.dofs + 1] = np.diff(local.indptr)
         term = sp.csr_matrix((local.data, ops.dofs[local.indices], np.cumsum(indptr)),
@@ -191,11 +195,10 @@ def _global_sum(mesh: Mesh, form: Callable) -> sp.csr_matrix:
     return sum(reversed(partial[:-1]), start=partial[-1]).tocsr()
 
 
-def _volume_load(ops: ReconstructionOperators, body_force: Callable,
-                 quad_degree: int) -> np.ndarray:
+def _volume_load(ops: ReconstructionOperators, body_force: Callable) -> np.ndarray:
     """M^T (cell integrals of the force): each vertex receives its convex
     weight times the cell integral; bubbles receive zero."""
-    integrals = _integrals(ops.mesh, "cell", quad_degree,
+    integrals = _integrals(ops.mesh, "cell", QUAD_DEGREE,
                            lambda points, at: body_force(points), ops.cells)
     return ops.mean.T @ integrals.ravel()
 
@@ -208,26 +211,23 @@ def local_matrix(mesh: Mesh, cid: int, material: MaterialParams,
     return _matrix(ops, material)[cols][:, cols].toarray()
 
 
-def local_load(mesh: Mesh, cid: int, body_force: Callable | None,
-               quad_degree: int = 4) -> np.ndarray:
+def local_load(mesh: Mesh, cid: int, body_force: Callable | None) -> np.ndarray:
     """Local volume load: each vertex receives its convex weight times the
     cell integral of the force; bubbles receive zero."""
     dofs = local_dofs(mesh, cid)
     if body_force is None:
         return np.zeros(len(dofs))
     ops = ReconstructionOperators(mesh, [cid])
-    return _volume_load(ops, body_force, quad_degree)[np.searchsorted(ops.dofs, dofs)]
+    return _volume_load(ops, body_force)[np.searchsorted(ops.dofs, dofs)]
 
 
 def local_system(mesh: Mesh, cid: int, material: MaterialParams, dofmap: DofMap,
-                 body_force: Callable | None, quad_degree: int = 4):
+                 body_force: Callable | None):
     """Local (matrix, load) pair over the cell DOFs."""
-    return (local_matrix(mesh, cid, material, dofmap),
-            local_load(mesh, cid, body_force, quad_degree))
+    return local_matrix(mesh, cid, material, dofmap), local_load(mesh, cid, body_force)
 
 
-def _neumann_loads(mesh: Mesh, faces: np.ndarray, traction: Callable, dofmap: DofMap,
-                   quad_degree: int):
+def _neumann_loads(mesh: Mesh, faces: np.ndarray, traction: Callable, dofmap: DofMap):
     """Surface-load contributions of the boundary faces `faces`: the vertex
     DOFs of their loops, face by face, then their bubbles, with the values."""
     normal = mesh.face_normal[faces]
@@ -240,7 +240,7 @@ def _neumann_loads(mesh: Mesh, faces: np.ndarray, traction: Callable, dofmap: Do
                                                 points - centroid[at]])[:, None, :]
 
     # per face the integral of g and G = int g tensor (x - centroid)
-    integrals = _integrals(mesh, "face", quad_degree, moments, faces)
+    integrals = _integrals(mesh, "face", QUAD_DEGREE, moments, faces)
     g_total, g_moment = integrals[:, :, 0], integrals[:, :, 1:]
     # int g . (grad_sigma v)(x - centroid) = G : grad_sigma v, and grad_sigma
     # gives each edge's two endpoints |e| / (2 |f|) times its outward normal
@@ -256,8 +256,7 @@ def _neumann_loads(mesh: Mesh, faces: np.ndarray, traction: Callable, dofmap: Do
     return dofs, values
 
 
-def neumann_load(mesh: Mesh, fid: int, traction: Callable, dofmap: DofMap,
-                 quad_degree: int = 4):
+def neumann_load(mesh: Mesh, fid: int, traction: Callable, dofmap: DofMap):
     """Surface-load contributions of one Neumann face.
 
     Vertex DOFs receive the face integral of the traction against the affine
@@ -266,18 +265,14 @@ def neumann_load(mesh: Mesh, fid: int, traction: Callable, dofmap: DofMap,
     """
     if not mesh.face_on_boundary[fid]:
         raise AssemblyError(f"face {fid} is not a boundary face")
-    return _neumann_loads(mesh, np.array([fid]), traction, dofmap, quad_degree)
-
-
-def assemble_matrix(mesh: Mesh, dofmap: DofMap,
-                    material: MaterialParams) -> sp.csr_matrix:
-    """Unconstrained global matrix."""
-    return _global_sum(mesh, lambda ops: _matrix(ops, material))
+    return _neumann_loads(mesh, np.array([fid]), traction, dofmap)
 
 
 def divergence_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """The lambda part K of the unconstrained global matrix."""
-    return _global_sum(mesh, lambda ops: ops.energy_form(0.0, 1.0))
+    """The lambda part K = D^T W D of the unconstrained global matrix, with D
+    the `divergence_operator` and W the cell volumes."""
+    d = divergence_operator(mesh)
+    return (d.T @ sp.diags(mesh.cell_volume) @ d).tocsr()
 
 
 def divergence_operator(mesh: Mesh) -> sp.csr_matrix:
@@ -293,15 +288,15 @@ def divergence_operator(mesh: Mesh) -> sp.csr_matrix:
 
 
 def assemble_load(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions,
-                  body_force: Callable | None, quad_degree: int = 4) -> np.ndarray:
+                  body_force: Callable | None) -> np.ndarray:
     """Unconstrained load vector: volume force plus Neumann surface loads."""
     load = np.zeros(dofmap.vector_size)
     if body_force is not None:
         for ops in operator_chunks(mesh):
-            load[ops.dofs] += _volume_load(ops, body_force, quad_degree)
+            load[ops.dofs] += _volume_load(ops, body_force)
     faces = bcs.neumann_face_ids(mesh)
     if bcs.neumann_data is not None and len(faces):
-        dofs, values = _neumann_loads(mesh, faces, bcs.neumann_data, dofmap, quad_degree)
+        dofs, values = _neumann_loads(mesh, faces, bcs.neumann_data, dofmap)
         load += np.bincount(dofs, weights=values, minlength=len(load))
     return load
 
@@ -348,17 +343,21 @@ def check_dirichlet_coverage(mesh: Mesh, dofmap: DofMap):
 def reduce_system(full_matrix: sp.csr_matrix | LambdaSplit, full_load: np.ndarray,
                   lifting: np.ndarray, dofmap: DofMap) -> SparseSystem:
     """Eliminate constrained DOFs by lifting.  Given a `LambdaSplit` (built on
-    `dofmap`) for the matrix, the system carries the split with its
-    lambda-free loads and forms no matrix."""
+    `dofmap`) for the matrix: with bubbles and lambda > 0 the system carries
+    the split with its lambda-free loads and forms no matrix; otherwise its
+    matrix is the penalty matrix A0 + lambda*K (the no-bubble ablation), or
+    A0 at lambda = 0."""
     free = dofmap.free_indices
     if isinstance(full_matrix, LambdaSplit):
         split = full_matrix
-        load_u = full_load[free] - (split.full_a0 @ lifting)[free]
-        load_p = -split.volume * (split.full_divergence @ lifting)
-        return SparseSystem(
-            None, load_u + split.lam * (split.divergence.T @ load_p), lifting, free,
-            dofmap.constrained_indices, dofmap, None, full_load,
-            split=replace(split, load_u=load_u, load_p=load_p))
+        if dofmap.bubbles_enabled and split.lam > 0:
+            load_u = full_load[free] - (split.full_a0 @ lifting)[free]
+            load_p = -split.volume * (split.full_divergence @ lifting)
+            return SparseSystem(
+                None, load_u + split.lam * (split.divergence.T @ load_p), lifting, free,
+                dofmap.constrained_indices, dofmap, None, full_load,
+                split=replace(split, load_u=load_u, load_p=load_p))
+        full_matrix = split.penalty_matrix(full=True) if split.lam > 0 else split.full_a0
     reduced = full_matrix[free][:, free].tocsr()
     rhs = full_load[free] - (full_matrix @ lifting)[free]
     return SparseSystem(
@@ -373,20 +372,21 @@ def reduce_system(full_matrix: sp.csr_matrix | LambdaSplit, full_load: np.ndarra
     )
 
 
+def assemble_split(mesh: Mesh, dofmap: DofMap, material: MaterialParams) -> LambdaSplit:
+    """The `LambdaSplit` of the matrix on `dofmap`, at lambda = 0: A0
+    (`assemble_matrix` at lambda = 0) and D (`divergence_operator`)."""
+    a0 = assemble_matrix(mesh, dofmap, replace(material, lam=0.0))
+    return LambdaSplit.build(a0, divergence_operator(mesh), mesh.cell_volume, material.mu,
+                             dofmap)
+
+
 def assemble(mesh: Mesh, dofmap: DofMap, material: MaterialParams,
-             bcs: BoundaryConditions, body_force: Callable | None = None,
-             quad_degree: int = 4) -> SparseSystem:
-    """Assemble the reduced linear system of the scheme: with bubbles and
-    lambda > 0 from the `LambdaSplit` of A0 (`assemble_matrix` at lambda = 0)
-    and D, otherwise from the matrix."""
+             bcs: BoundaryConditions, body_force: Callable | None = None) -> SparseSystem:
+    """Assemble the reduced linear system of the scheme, from the split of
+    `assemble_split` at the lambda of `material`."""
     check_setup(mesh, dofmap, bcs)
-    if dofmap.bubbles_enabled and material.lam > 0:
-        a0 = assemble_matrix(mesh, dofmap, replace(material, lam=0.0))
-        matrix = LambdaSplit.build(a0, divergence_operator(mesh), mesh.cell_volume,
-                                   material.mu, dofmap).at(material.lam)
-    else:
-        matrix = assemble_matrix(mesh, dofmap, material)
-    return lifted_system(mesh, dofmap, matrix, bcs, body_force, quad_degree)
+    split = assemble_split(mesh, dofmap, material).at(material.lam)
+    return lifted_system(mesh, dofmap, split, bcs, body_force)
 
 
 def check_setup(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions):
@@ -402,12 +402,11 @@ def check_setup(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions):
 
 
 def lifted_system(mesh: Mesh, dofmap: DofMap, full_matrix: sp.csr_matrix | LambdaSplit,
-                  bcs: BoundaryConditions, body_force: Callable | None = None,
-                  quad_degree: int = 4) -> SparseSystem:
+                  bcs: BoundaryConditions, body_force: Callable | None = None) -> SparseSystem:
     """The reduced system of `full_matrix` (or its `LambdaSplit`), with the
     load and the lifting of `bcs` and `body_force` (the part of `assemble`
     after its matrix)."""
-    full_load = assemble_load(mesh, dofmap, bcs, body_force, quad_degree)
+    full_load = assemble_load(mesh, dofmap, bcs, body_force)
     lifting = dirichlet_lifting(mesh, dofmap, bcs)
     if not np.isfinite(lifting).all() or not np.isfinite(full_load).all():
         raise AssemblyError("non-finite value in boundary data or load")

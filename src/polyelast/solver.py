@@ -1,5 +1,6 @@
 """Iterative solvers for the reduced system: preconditioned MINRES on the
-mixed form of a lambda split, and Jacobi-preconditioned CG otherwise."""
+mixed form of a lambda split, and Jacobi-preconditioned CG otherwise, both
+stopped by one rule (`_iterate`)."""
 
 from __future__ import annotations
 
@@ -56,37 +57,73 @@ def solve_spd(system: SparseSystem, config: SolverConfig | None = None) -> Solve
     """Solve the reduced system and merge the solution with the Dirichlet
     lifting: by MINRES on the mixed form when the system carries a lambda
     split (`_minres`), otherwise by (optionally Jacobi-preconditioned) CG
-    (`_cg`).  `iterations` counts the steps of the method that ran, and
-    `residual` is its final residual norm (see those functions)."""
+    (`_cg`), both stopped by `_iterate`.  `iterations` counts the steps of
+    the method that ran, and `residual` is its final residual norm (see those
+    functions)."""
     if config is None:
         config = SolverConfig()
     full = system.lifting.copy()
     method = "MINRES" if system.split is not None else "CG"
     if system.n_free == 0:
-        history = []
+        steps = iter([(np.zeros(0), 0.0, False)])  # nothing to solve
     elif method == "MINRES":
-        x, history = _minres(system.split, config)
+        steps = _minres(system.split, config)
     else:
-        x, history = _cg(system.matrix, system.load, config)
-    if not history:  # nothing to solve, or a zero load
-        _log(method, 0, 0.0, "tolerance")
-        return SolveResult(DiscreteFunction(system.dofmap, full), 0, 0.0,
-                           np.zeros(0))
+        steps = _cg(system.matrix, system.load, config)
+    x, history = _iterate(method, steps, config.tol, config.iteration_cap(system.n_free))
     full[system.free_indices] = x
-    return SolveResult(DiscreteFunction(system.dofmap, full), len(history) - 1,
-                       float(history[-1]), np.asarray(history))
+    return SolveResult(DiscreteFunction(system.dofmap, full), max(len(history) - 1, 0),
+                       float(history[-1]) if history else 0.0, np.asarray(history))
 
 
-def _log(method: str, iterations: int, relative: float, reason: str):
+def _iterate(method: str, steps, tol: float, cap: int):
+    """Run the recurrence `steps` of `method` to its stop, and log the stop.
+
+    `steps` yields triples (x, residual norm of x, `confirmed`): first x = 0,
+    then one per step.  `confirmed` marks the true residual, computed from x
+    because the recurrence's estimate met `tol`; resumed after it, the
+    recurrence restarts from x with that residual.  The solve stops at
+    the tolerance once a true residual meets `tol` (relative to the first
+    norm), at the residual floor once a restart gained less than a factor
+    0.9, and at the iteration cap after `cap` steps; the last two raise
+    `SolverError`.  Returns the last x and the norms per step (empty for a
+    zero load).
+    """
+    x, norm_b, _ = next(steps)
+    if norm_b == 0.0:
+        logger.info("%s: 0 iterations, relative residual 0.000e+00, stopped at the "
+                    "tolerance", method)
+        return x, []
+    history, last_restart, reason = [norm_b], math.inf, None
+    while reason is None:
+        x, residual, confirmed = next(steps)
+        history.append(residual)
+        if confirmed and residual <= tol * norm_b:
+            reason = "tolerance"
+        elif confirmed and residual >= 0.9 * last_restart:
+            reason = "residual floor"
+        elif len(history) > cap:
+            reason = "iteration cap"
+        elif confirmed:
+            last_restart = residual
+    relative = history[-1] / norm_b
     logger.info("%s: %d iterations, relative residual %.3e, stopped at the %s",
-                method, iterations, relative, reason)
+                method, len(history) - 1, relative, reason)
+    if reason == "residual floor":
+        raise SolverError(
+            f"attainable residual floor reached: true relative residual {relative:.3e} "
+            f"cannot meet tol={tol:.1e} in double precision (relax tol)")
+    if reason == "iteration cap":
+        raise SolverError(f"{method} did not converge within {cap} iterations "
+                          f"(relative residual {relative:.3e})")
+    return x, history
 
 
 def _cg(a_mat, b: np.ndarray, config: SolverConfig):
-    """Jacobi-preconditioned CG on A x = b, from x = 0.  Returns x and the
-    residual norms |b - A x| per step (empty for b = 0).
+    """Jacobi-preconditioned CG on A x = b, from x = 0, as `_iterate` steps:
+    the norms are those of the residual b - A x.
 
-    Stops once the true residual satisfies |b - A x| <= tol * |b| and the
+    A step's estimate meets `tol` once |r| <= tol * |b| and the
     preconditioned residual norm meets the same relative reduction; the second
     condition guards the small-scale solution components when the matrix
     carries widely different row scales (large lambda).
@@ -100,71 +137,40 @@ def _cg(a_mat, b: np.ndarray, config: SolverConfig):
         inv_diag = 1.0 / diag
     else:
         inv_diag = np.ones(n)
-
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return np.zeros(n), []
-
-    x = np.zeros(n)
-    r = b.copy()
-    z = inv_diag * r
-    rho = r @ z
-    norm_bp = math.sqrt(b @ (inv_diag * b))
-    p = z.copy()
-    cap = config.iteration_cap(n)
-    history = [norm_b]
-    iterations = 0
-    last_restart_residual = np.inf
-    while iterations < cap:
-        q = a_mat @ p
-        pq = p @ q
-        if not np.isfinite(pq) or pq <= 0.0:
-            raise SolverError("non-positive curvature encountered: matrix is "
-                              "indefinite or singular")
-        alpha = rho / pq
-        x += alpha * p
-        r -= alpha * q
-        iterations += 1
-        norm_r = np.linalg.norm(r)
-        history.append(norm_r)
-        if not np.isfinite(norm_r):
-            raise SolverError("non-finite residual encountered")
-        if norm_r > _DIVERGENCE_FACTOR * norm_b:
-            raise SolverError("residual diverged: matrix is indefinite or "
-                              "singular (missing Dirichlet constraints?)")
+    norm_b, norm_bp = np.linalg.norm(b), math.sqrt(b @ (inv_diag * b))
+    x, r = np.zeros(n), b.copy()
+    yield x, norm_b, False
+    while True:
+        # (re)start from x with r = b - A x
         z = inv_diag * r
-        rho_next = r @ z
-        if norm_r <= config.tol * norm_b and math.sqrt(max(rho_next, 0.0)) <= config.tol * norm_bp:
-            # confirm with the true residual (recursion may have drifted)
-            true_r = np.linalg.norm(b - a_mat @ x)
-            history[-1] = true_r
-            if true_r <= config.tol * norm_b:
-                break
-            if true_r >= 0.9 * last_restart_residual:
-                _log("CG", iterations, true_r / norm_b, "residual floor")
-                raise SolverError(
-                    f"attainable residual floor reached: true relative residual "
-                    f"{true_r / norm_b:.3e} cannot meet tol={config.tol:.1e} in "
-                    "double precision (ill-scaled system; relax tol)"
-                )
-            last_restart_residual = true_r
-            r = b - a_mat @ x
+        rho = r @ z
+        p = z.copy()
+        while True:
+            q = a_mat @ p
+            pq = p @ q
+            if not np.isfinite(pq) or pq <= 0.0:
+                raise SolverError("non-positive curvature encountered: matrix is "
+                                  "indefinite or singular")
+            alpha = rho / pq
+            x += alpha * p
+            r -= alpha * q
+            norm_r = np.linalg.norm(r)
+            if not np.isfinite(norm_r):
+                raise SolverError("non-finite residual encountered")
+            if norm_r > _DIVERGENCE_FACTOR * norm_b:
+                raise SolverError("residual diverged: matrix is indefinite or "
+                                  "singular (missing Dirichlet constraints?)")
             z = inv_diag * r
             rho_next = r @ z
-            p = z.copy()
+            if norm_r <= config.tol * norm_b and math.sqrt(max(rho_next, 0.0)) <= config.tol * norm_bp:
+                break
+            yield x, norm_r, False
+            beta = rho_next / rho
             rho = rho_next
-            continue
-        beta = rho_next / rho
-        rho = rho_next
-        p = z + beta * p
-    else:
-        _log("CG", iterations, history[-1] / norm_b, "iteration cap")
-        raise SolverError(
-            f"CG did not converge within {cap} iterations "
-            f"(relative residual {history[-1] / norm_b:.3e})"
-        )
-    _log("CG", iterations, history[-1] / norm_b, "tolerance")
-    return x, history
+            p = z + beta * p
+        # confirm with the true residual (recursion may have drifted)
+        r = b - a_mat @ x
+        yield x, np.linalg.norm(r), True
 
 
 def _minres(split: LambdaSplit, config: SolverConfig):
@@ -176,10 +182,9 @@ def _minres(split: LambdaSplit, config: SolverConfig):
     the preconditioner blockdiag(diag(A0), (1/lambda + 1/mu) W) (identity
     blocks with `preconditioner="none"`), after Elman, Silvester & Wathen,
     Finite Elements and Fast Iterative Solvers (2nd ed., 2014), ch. 4.
-    Returns u and the preconditioned residual norms |r|_{M^-1} per step
-    (empty for a zero load).  Stops once |r|_{M^-1} <= tol * |b|_{M^-1}, and
-    confirms this with the true residual, restarting from the iterate if the
-    recurrence has drifted.
+    Yields `_iterate` steps of u, with the preconditioned residual norms
+    |r|_{M^-1}; a step's estimate meets `tol` once |r|_{M^-1} <= tol *
+    |b|_{M^-1}.
     """
     mixed, w = split.mixed, split.volume
     n, m = split.divergence.shape[1], len(w)
@@ -209,12 +214,8 @@ def _minres(split: LambdaSplit, config: SolverConfig):
     norm_b = math.sqrt(v @ z)
     if not math.isfinite(norm_b):
         raise SolverError("MINRES breakdown: non-finite load")
-    if norm_b == 0.0:
-        return x[:n], []
+    yield x[:n], norm_b, False
     v_old, z_new, dirs, dirs_old = (np.empty(n + m) for _ in range(4))
-    cap = config.iteration_cap(n)
-    history = [norm_b]
-    last_restart = np.inf
     gamma = norm_b
     while True:
         # (re)start from x with v = b - K x, z = M^-1 v and gamma = |v|_{M^-1}
@@ -223,11 +224,7 @@ def _minres(split: LambdaSplit, config: SolverConfig):
         v_old.fill(0.0)
         dirs.fill(0.0)
         dirs_old.fill(0.0)
-        while abs(eta) > config.tol * norm_b:
-            if len(history) > cap:
-                _log("MINRES", cap, abs(eta) / norm_b, "iteration cap")
-                raise SolverError(f"MINRES did not converge within {cap} iterations "
-                                  f"(relative residual {abs(eta) / norm_b:.3e})")
+        while True:
             # Lanczos step: v <- K z - (delta/gamma) v - (gamma/gamma_old) v_old
             scal(1.0 / gamma, z)
             product = apply(z)
@@ -260,20 +257,11 @@ def _minres(split: LambdaSplit, config: SolverConfig):
             eta *= -s
             gamma_old, gamma = gamma, gamma_new
             z, z_new = z_new, z
-            history.append(abs(eta))
+            if not abs(eta) > config.tol * norm_b:
+                break
+            yield x[:n], abs(eta), False
         # confirm with the true residual (the recurrence may have drifted)
         v = rhs - apply(x)
         z = inv_m * v
-        gamma = true_r = math.sqrt(v @ z)
-        history[-1] = true_r
-        if true_r <= config.tol * norm_b:
-            break
-        if true_r >= 0.9 * last_restart:
-            _log("MINRES", len(history) - 1, true_r / norm_b, "residual floor")
-            raise SolverError(
-                f"attainable residual floor reached: true relative residual "
-                f"{true_r / norm_b:.3e} cannot meet tol={config.tol:.1e} in "
-                "double precision (relax tol)")
-        last_restart = true_r
-    _log("MINRES", len(history) - 1, history[-1] / norm_b, "tolerance")
-    return x[:n], history
+        gamma = math.sqrt(v @ z)
+        yield x[:n], gamma, True

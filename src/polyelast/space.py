@@ -32,6 +32,10 @@ DIM = 3
 # enrichment effective for large lambda)
 INTERPOLATION_QUAD_DEGREE = 23
 
+# cell and face quadrature degree of the loads, the exact strain norm and the
+# consistency diagnostics
+QUAD_DEGREE = 4
+
 # the most local-matrix entries (sum over cells of n_loc**2) of one run of
 # `operator_chunks`: 1,024 tetrahedra (16 local DOFs) or 291 hexahedra (30)
 _CHUNK_ENTRIES = 1 << 18
