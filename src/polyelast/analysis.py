@@ -49,29 +49,83 @@ CASE_NAMES = ("example1", "example2", "example3", "affine")
 
 
 def _trig_parts(points: np.ndarray, k: float):
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    return (np.sin(k * x), np.sin(k * y), np.sin(k * z),
-            np.cos(k * x), np.cos(k * y), np.cos(k * z))
+    """sin and cos of k times every coordinate of the (n, 3) `points`, as two
+    (3, n) arrays."""
+    angles = np.multiply(points.T, k, order="C")
+    return np.sin(angles), np.cos(angles)
+
+
+def _product(out: np.ndarray, first, *factors) -> np.ndarray:
+    """`out` = first * factors[0] * factors[1] * ..., multiplied left to right."""
+    np.multiply(first, factors[0], out=out)
+    for factor in factors[1:]:
+        out *= factor
+    return out
 
 
 def _field_a(parts: tuple) -> np.ndarray:
-    sx, sy, sz, cx, cy, cz = parts
-    return np.column_stack([-2.0 * sx * cy * cz, cx * sy * cz, cx * cy * sz])
+    """The solenoidal field (-2 sx cy cz, cx sy cz, cx cy sz) as a (3, n) array."""
+    (sx, sy, sz), (cx, cy, cz) = parts
+    out = np.empty((3, len(sx)))
+    _product(out[0], -2.0, sx, cy, cz)
+    _product(out[1], cx, sy, cz)
+    _product(out[2], cx, cy, sz)
+    return out
 
 
-def _grad_a(parts: tuple, k: float) -> np.ndarray:
-    sx, sy, sz, cx, cy, cz = parts
-    g = np.empty((len(sx), 3, 3))
-    g[:, 0, 0] = -2.0 * k * cx * cy * cz
-    g[:, 0, 1] = 2.0 * k * sx * sy * cz
-    g[:, 0, 2] = 2.0 * k * sx * cy * sz
-    g[:, 1, 0] = -k * sx * sy * cz
-    g[:, 1, 1] = k * cx * cy * cz
-    g[:, 1, 2] = -k * cx * sy * sz
-    g[:, 2, 0] = -k * sx * cy * sz
-    g[:, 2, 1] = -k * cx * sy * sz
-    g[:, 2, 2] = k * cx * cy * cz
-    return g
+# entry (i, j) of the gradient of `_field_a` is scale * k times the sine ("s")
+# or cosine ("c") of k x, of k y and of k z
+_GRAD_A = (((-2.0, "ccc"), (2.0, "ssc"), (2.0, "scs")),
+           ((-1.0, "ssc"), (1.0, "ccc"), (-1.0, "css")),
+           ((-1.0, "scs"), (-1.0, "css"), (1.0, "ccc")))
+
+
+def _grad_a_entry(parts: tuple, k: float, i: int, j: int, out: np.ndarray) -> np.ndarray:
+    scale, kinds = _GRAD_A[i][j]
+    return _product(out, scale * k, *(parts["sc".index(kind)][m]
+                                      for m, kind in enumerate(kinds)))
+
+
+def _gradient(entry: Callable, parts: tuple) -> np.ndarray:
+    """The (n, 3, 3) gradient whose entry (i, j) `entry(parts, i, j, out)` writes."""
+    g = np.empty((3, 3, parts[0].shape[1]))
+    for i in range(3):
+        for j in range(3):
+            entry(parts, i, j, g[i, j])
+    return g.transpose(2, 0, 1)
+
+
+def _symmetric_gradient(entry: Callable, parts: tuple) -> np.ndarray:
+    """The (n, 3, 3) strain 0.5 (g + g^T) of the gradient g whose entries
+    `entry` writes, from its six distinct entries."""
+    out = np.empty((3, 3, parts[0].shape[1]))
+    other = np.empty(out.shape[2])
+    for i in range(3):
+        for j in range(i, 3):
+            eps = entry(parts, i, j, out[i, j])
+            eps += eps if i == j else entry(parts, j, i, other)
+            eps *= 0.5
+            out[j, i] = eps
+    return out.transpose(2, 0, 1)
+
+
+def _sum_of_squares(m: np.ndarray) -> np.ndarray:
+    """Per point, the sum of the squared entries of the (n, 3, 3) `m`, added
+    in the order `np.sum(m**2, axis=(1, 2))` adds a C-ordered array."""
+    entries = m.transpose(1, 2, 0)
+
+    def pair(a, b):
+        out = np.square(entries[a])
+        out += np.square(entries[b])
+        return out
+
+    total = pair((0, 0), (0, 1))
+    total += pair((0, 2), (1, 0))
+    rest = pair((1, 1), (1, 2))
+    rest += pair((2, 0), (2, 1))
+    total += rest
+    total += np.square(entries[2, 2])
+    return total
 
 
 @dataclass(frozen=True)
@@ -82,24 +136,23 @@ class ManufacturedCase:
     material: MaterialParams
     displacement: Callable
     gradient: Callable
+    strain: Callable  # the symmetric part of `gradient`
     divergence: Callable
     body_force: Callable
     dirichlet_faces: Callable  # Mesh -> bool mask over faces
 
-    def strain(self, points: np.ndarray) -> np.ndarray:
-        g = self.gradient(points)
-        return 0.5 * (g + g.transpose(0, 2, 1))
-
     def stress_field(self, points: np.ndarray) -> np.ndarray:
-        eps = self.strain(points)
-        out = 2.0 * self.material.mu * eps
-        out[:, np.arange(3), np.arange(3)] += self.material.lam * self.divergence(
-            points)[:, None]
-        return out
+        out = (2.0 * self.material.mu) * self.strain(points).transpose(1, 2, 0)
+        pressure = self.material.lam * self.divergence(points)
+        for j in range(3):
+            out[j, j] += pressure
+        return out.transpose(2, 0, 1)
 
     def traction(self, points: np.ndarray, normal: np.ndarray) -> np.ndarray:
         """Traction at `points` for one normal (3,) or one per point (n, 3)."""
-        return (self.stress_field(points) @ np.asarray(normal, dtype=float)[..., None])[..., 0]
+        # a C-ordered stress: the stacked product rounds by the layout of its operand
+        stress = np.ascontiguousarray(self.stress_field(points))
+        return (stress @ np.asarray(normal, dtype=float)[..., None])[..., 0]
 
     def boundary_conditions(self, mesh: Mesh) -> BoundaryConditions:
         return BoundaryConditions(
@@ -136,13 +189,19 @@ def manufactured_case(name: str, lam: float, mu: float = 1.0,
         k = np.pi
         factor = 3.0 * k * k * mu
 
+        def entry(parts, i, j, out):
+            return _grad_a_entry(parts, k, i, j, out)
+
         def force(points):
-            return factor * _field_a(_trig_parts(points, k))
+            out = _field_a(_trig_parts(points, k))
+            out *= factor
+            return out.T
 
         return ManufacturedCase(
             name, material,
-            displacement=lambda p: _field_a(_trig_parts(p, k)),
-            gradient=lambda p: _grad_a(_trig_parts(p, k), k),
+            displacement=lambda p: _field_a(_trig_parts(p, k)).T,
+            gradient=lambda p: _gradient(entry, _trig_parts(p, k)),
+            strain=lambda p: _symmetric_gradient(entry, _trig_parts(p, k)),
             divergence=lambda p: np.zeros(len(p)),
             body_force=force,
             dirichlet_faces=_all_boundary,
@@ -152,29 +211,35 @@ def manufactured_case(name: str, lam: float, mu: float = 1.0,
         if lam <= 0:
             raise ValueError(f"{name} requires lambda > 0")
 
+        def entry(parts, i, j, out):
+            _grad_a_entry(parts, k, i, j, out)
+            if i == j:
+                out += (k / lam) * parts[1][i]
+            return out
+
         def disp(points):
             parts = _trig_parts(points, k)
-            return _field_a(parts) + np.column_stack(parts[:3]) / lam
-
-        def grad(points):
-            parts = _trig_parts(points, k)
-            g = _grad_a(parts, k)
-            g[:, np.arange(3), np.arange(3)] += (k / lam) * np.column_stack(parts[3:])
-            return g
+            out = _field_a(parts)
+            out += np.divide(parts[0], lam, out=parts[0])
+            return out.T
 
         def div(points):
-            return (k / lam) * np.cos(k * points).sum(axis=1)
+            c = np.cos(np.multiply(points.T, k, order="C"))
+            return (k / lam) * (c[0] + c[1] + c[2])
 
         def force(points):
             parts = _trig_parts(points, k)
-            return (3.0 * k * k * mu * _field_a(parts)
-                    + (k * k / lam) * (2.0 * mu + lam) * np.column_stack(parts[:3]))
+            out = _field_a(parts)
+            out *= 3.0 * k * k * mu
+            out += np.multiply((k * k / lam) * (2.0 * mu + lam), parts[0], out=parts[0])
+            return out.T
 
         tagger = _all_boundary if name == "example2" else _x0_plane_faces
         return ManufacturedCase(
             name, material,
             displacement=disp,
-            gradient=grad,
+            gradient=lambda p: _gradient(entry, _trig_parts(p, k)),
+            strain=lambda p: _symmetric_gradient(entry, _trig_parts(p, k)),
             divergence=div,
             body_force=force,
             dirichlet_faces=tagger,
@@ -184,6 +249,8 @@ def manufactured_case(name: str, lam: float, mu: float = 1.0,
             name, material,
             displacement=lambda p: p @ AFFINE_MATRIX.T + AFFINE_OFFSET,
             gradient=lambda p: np.broadcast_to(AFFINE_MATRIX, (len(p), 3, 3)).copy(),
+            strain=lambda p: np.broadcast_to(0.5 * (AFFINE_MATRIX + AFFINE_MATRIX.T),
+                                             (len(p), 3, 3)).copy(),
             divergence=lambda p: np.full(len(p), float(np.trace(AFFINE_MATRIX))),
             body_force=lambda p: np.zeros((len(p), 3)),
             dirichlet_faces=_all_boundary,
@@ -230,7 +297,7 @@ def discrete_norms(mesh: Mesh, func: DiscreteFunction,
 def exact_strain_norm(mesh: Mesh, strain_fn: Callable) -> float:
     """L2 norm of an exact strain field over the mesh, by cell quadrature."""
     squares = _integrals(mesh, "cell", QUAD_DEGREE,
-                         lambda points, at: np.sum(strain_fn(points) ** 2, axis=(1, 2)))
+                         lambda points, at: _sum_of_squares(strain_fn(points)))
     return float(np.sqrt(squares.sum()))
 
 
@@ -262,8 +329,8 @@ def consistency_error(mesh: Mesh, gradient_fn: Callable,
     exact gradient and the piecewise-constant reconstruction, plus the
     stabilization energy, all under a square root."""
     grad, _, s_val = cell_fields(mesh, interpolant.values, stabilization=True)
-    squares = _integrals(mesh, "cell", QUAD_DEGREE, lambda points, at: np.sum(
-        (gradient_fn(points) - grad[at]) ** 2, axis=(1, 2)))
+    squares = _integrals(mesh, "cell", QUAD_DEGREE, lambda points, at: _sum_of_squares(
+        gradient_fn(points) - grad[at]))
     return float(np.sqrt(squares.sum() + s_val))
 
 

@@ -26,7 +26,7 @@ A0 + lambda*K in the no-bubble ablation; and A0 itself at lambda = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -83,47 +83,61 @@ class BoundaryConditions:
 @dataclass(frozen=True)
 class LambdaSplit:
     """The matrix A0 + lam * D^T W D kept split: unconstrained (`full_a0`,
-    `full_divergence`, D of shape (n_cells, N)) and on the free DOFs of a
-    DofMap, where `divergence` is D_f and `mixed` the lambda-free part
-    [A0_ff, D_f^T W; W D_f, 0] of the mixed matrix, with W = diag(`volume`),
-    the cell volumes, and the shear modulus `mu`.  `load_u` and `load_p` are
-    the lambda-free loads of a reduced system: b = load_u + lam * D_f^T load_p."""
+    `full_divergence`, D of shape (n_cells, N)), with W = diag(`volume`), the
+    cell volumes, and the shear modulus `mu`, for the `free` DOFs of a DofMap.
+    `load_u` and `load_p` are the lambda-free loads of a reduced system:
+    b = load_u + lam * D_f^T load_p.  D_f (`divergence`), the lambda-free part
+    `mixed` = [A0_ff, D_f^T W; W D_f, 0] of the mixed matrix and K = D^T W D
+    are formed when first read, once for the split and every `at` of it."""
 
     full_a0: sp.csr_matrix
     full_divergence: sp.csr_matrix
-    divergence: sp.csr_matrix
-    mixed: sp.csr_matrix
     volume: np.ndarray
     mu: float
+    free: np.ndarray
     lam: float = 0.0
     load_u: np.ndarray | None = None
     load_p: np.ndarray | None = None
+    _formed: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, full_a0: sp.csr_matrix, full_divergence: sp.csr_matrix,
               volume: np.ndarray, mu: float, dofmap: DofMap) -> "LambdaSplit":
         """The split on the free DOFs of `dofmap`, reduced once for every lambda."""
-        free = dofmap.free_indices
-        divergence = full_divergence[:, free].tocsr()
-        weighted = (sp.diags(volume) @ divergence).tocsr()
-        mixed = sp.bmat([[full_a0[free][:, free], weighted.T], [weighted, None]],
-                        format="csr")
-        return cls(full_a0, full_divergence, divergence, mixed, volume, float(mu))
+        return cls(full_a0, full_divergence, volume, float(mu), dofmap.free_indices)
 
     def at(self, lam: float) -> "LambdaSplit":
         """The same split at another lambda (the blocks are shared)."""
         return replace(self, lam=float(lam))
 
+    def _once(self, key, form: Callable):
+        if key not in self._formed:
+            self._formed[key] = form()
+        return self._formed[key]
+
+    @property
+    def divergence(self) -> sp.csr_matrix:
+        return self._once("divergence", lambda: self.full_divergence[:, self.free].tocsr())
+
+    @property
+    def mixed(self) -> sp.csr_matrix:
+        def form():
+            weighted = (sp.diags(self.volume) @ self.divergence).tocsr()
+            return sp.bmat([[self.full_a0[self.free][:, self.free], weighted.T],
+                            [weighted, None]], format="csr")
+        return self._once("mixed", form)
+
     @property
     def a0(self) -> sp.csr_matrix:
         """A0_ff, the leading block of `mixed`."""
-        n = self.divergence.shape[1]
+        n = len(self.free)
         return self.mixed[:n, :n]
 
     def penalty_matrix(self, full: bool = False) -> sp.csr_matrix:
         """A0 + lam * D^T W D, on the free DOFs or (`full`) unconstrained."""
         a0, d = (self.full_a0, self.full_divergence) if full else (self.a0, self.divergence)
-        return (a0 + self.lam * (d.T @ sp.diags(self.volume) @ d)).tocsr()
+        k = self._once(("k", full), lambda: d.T @ sp.diags(self.volume) @ d)
+        return (a0 + self.lam * k).tocsr()
 
 
 class SparseSystem:

@@ -200,11 +200,7 @@ def run_check_suite(mesh, seed: int = DEFAULT_SEED) -> list[tuple[str, bool, str
                     f"max deviation {worst:.2e}"))
 
     ident = interpolate(mesh, dofmap, lambda p: p, AFFINE_QUAD_DEGREE)
-    sinus = interpolate(mesh, dofmap, lambda p: np.column_stack([
-        -2.0 * np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]) * np.cos(np.pi * p[:, 2]),
-        np.cos(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]) * np.cos(np.pi * p[:, 2]),
-        np.cos(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]) * np.sin(np.pi * p[:, 2]),
-    ]))
+    sinus = interpolate(mesh, dofmap, manufactured_case("example1", lam=1.0).displacement)
     grad = cell_fields(mesh, np.column_stack([ident.values, sinus.values]))[0]
     divergence = np.trace(grad, axis1=1, axis2=2)
     worst = np.abs(divergence[:, 0] - 3.0).max()

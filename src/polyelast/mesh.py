@@ -472,17 +472,23 @@ class Mesh:
         """Points and absolute weights integrating over every face of `faces`
         (default: all faces), in that order, plus the CSR offsets of each
         face's points.  The rule sums over the fan triangles
-        (loop[0], loop[t+1], loop[t+2]) of the face loop."""
+        (loop[0], loop[t+1], loop[t+2]) of the face loop.  The (n, 3) points
+        are the transpose of a (3, n) array, so each coordinate is contiguous."""
         faces = np.arange(self.n_faces) if faces is None else np.asarray(faces, dtype=int)
         ref_pts, ref_w = triangle_rule(degree)
         entries, _ = row_entries(self._face_tri_offsets, faces)
-        a, b, c = (self.positions[self._face_tris[entries, k], None] for k in range(3))
-        x, y = ref_pts[:, :1], ref_pts[:, 1:]
-        points = (a + x * (b - a) + y * (c - a)).reshape(-1, 3)
+        tris = self._face_tris[entries]
+        x, y = ref_pts[:, 0], ref_pts[:, 1]
+        points = np.empty((3, len(entries), len(ref_w)))
+        for j, out in enumerate(points):  # a + x (b - a) + y (c - a), one coordinate at a time
+            a, b, c = (self.positions[tris[:, k], j, None] for k in range(3))
+            np.multiply(x, b - a, out=out)
+            out += a
+            out += y * (c - a)
         weights = (self._tri_signed[entries, None] * ref_w).ravel()
         offsets = len(ref_w) * np.concatenate(
             [[0], np.cumsum(np.diff(self._face_tri_offsets)[faces])])
-        return points, weights, offsets
+        return points.reshape(3, -1).T, weights, offsets
 
     def face_quadrature(self, fid: int, degree: int):
         """Points and absolute weights integrating over face `fid`: the
@@ -495,7 +501,7 @@ class Mesh:
         (default: all cells), in that order, plus the CSR offsets of each
         cell's points.  The rule sums over the sub-tets (face fan triangle +
         cell centroid) of the cell; a face with sign -1 fans from its reversed
-        loop."""
+        loop.  The points are laid out as in `batched_face_quadrature`."""
         cells = np.arange(self.n_cells) if cells is None else np.asarray(cells, dtype=int)
         ref_pts, ref_w = tet_rule(degree)
         entries, owner = row_entries(self._cell_tri_offsets, cells)
@@ -504,11 +510,14 @@ class Mesh:
         d = tris - apex[:, None, :]
         v6 = np.einsum("ij,ij->i", np.cross(d[:, 1], d[:, 2]), d[:, 0])
         edges = np.concatenate([tris[:, 1:], apex[:, None]], axis=1) - tris[:, :1]
-        points = (tris[:, :1] + ref_pts @ edges).reshape(-1, 3)
+        points = np.empty((3, len(entries), len(ref_w)))
+        for j, out in enumerate(points):  # corner + ref_pts @ edges, one coordinate at a time
+            np.matmul(edges[:, :, j], ref_pts.T, out=out)
+            out += tris[:, :1, j]
         weights = ((v6 / 6.0)[:, None] * ref_w).ravel()
         offsets = len(ref_w) * np.concatenate(
             [[0], np.cumsum(np.diff(self._cell_tri_offsets)[cells])])
-        return points, weights, offsets
+        return points.reshape(3, -1).T, weights, offsets
 
     def cell_quadrature(self, cid: int, degree: int):
         """Points and absolute weights integrating over cell `cid`: the
@@ -536,10 +545,17 @@ def _integrals(mesh: Mesh, kind: str, degree: int, integrand: Callable,
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _CHUNK_POINTS, "right")) - 1)
         points, weights, offsets = rule(degree, ids[lo:hi])
         values = np.asarray(integrand(points, lo + _owner(offsets)), dtype=float)
-        flat = values.reshape(len(weights), -1)
+        # C order, as the stacked product below rounds by the layout of its operand
+        flat = np.ascontiguousarray(values.reshape(len(weights), -1))
         sums = np.empty((hi - lo, flat.shape[1]))
         for rows, entries in _groups(offsets):
-            sums[rows] = (weights[entries][:, None, :] @ flat[entries])[:, 0]
+            first, last = entries[0, 0], entries[-1, -1]
+            if last - first + 1 == entries.size:  # one block of points: views, not copies
+                w = weights[first:last + 1].reshape(entries.shape)
+                f = flat[first:last + 1].reshape(entries.shape + flat.shape[1:])
+            else:
+                w, f = weights[entries], flat[entries]
+            sums[rows] = (w[:, None, :] @ f)[:, 0]
         parts.append(sums.reshape((hi - lo,) + values.shape[1:]))
         lo = hi
     return np.concatenate(parts) if parts else np.zeros(0)

@@ -451,9 +451,14 @@ def face_bubble_moments(mesh: Mesh, field: Callable, face_ids: np.ndarray,
     average."""
     face_ids = np.asarray(face_ids, dtype=int)
     normal = mesh.face_normal[face_ids]
-    flux = _integrals(mesh, "face", quad_degree,
-                      lambda points, at: np.einsum("pi,pi->p", field(points), normal[at]),
-                      face_ids)
+    n_x, n_y, n_z = normal.T.copy()
+
+    def normal_component(points, at):
+        u = np.asarray(field(points), dtype=float)
+        # adds as np.einsum("pi,pi->p", u, normal[at]) does
+        return (u[:, 0] * n_x[at] + u[:, 2] * n_z[at]) + u[:, 1] * n_y[at]
+
+    flux = _integrals(mesh, "face", quad_degree, normal_component, face_ids)
     average = _face_averages(mesh, vertex_values, face_ids)
     return flux / mesh.face_area[face_ids] - np.einsum("fi,fi->f", average, normal)
 
