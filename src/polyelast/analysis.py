@@ -355,6 +355,8 @@ def korn_ratio(mesh: Mesh, dofmap: DofMap, sample_count: int,
                seed: int = DEFAULT_SEED) -> KornStats:
     """Sampled discrete Korn ratios |v|_{1,D}^2 / (|eps(v)|^2 + S(v,v)) over
     random interior-supported discrete functions."""
+    if dofmap.n_free == 0:
+        raise ValueError("no free DOF to sample")
     # one column per sample, drawn one after the other
     values = np.zeros((dofmap.vector_size, sample_count))
     rng = np.random.default_rng(seed)
@@ -472,7 +474,8 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
     A0 and the divergence map D of K = D^T W D, and every lambda reduces the
     split at that lambda (see `reduce_system`).  The exact fields and hence
     the loads and liftings depend on lambda and are assembled per lambda.
-    Every lambda (and mu, mu1) is validated before the first mesh is built.
+    Every lambda (and mu, mu1) is validated, and none may be listed twice,
+    before the first mesh is built.
     In the no-bubble ablation mode, rates are reported only for lambda < 1e3
     rows, where the error still behaves like a power of h.  A zero error (a
     mesh with no free DOF) has no rate to it or from it.
@@ -480,6 +483,9 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
     if not lambdas:
         raise ValueError("lambda list must be non-empty")
     cases = [manufactured_case(case_name, lam=lam, mu=mu, mu1=mu1) for lam in lambdas]
+    for i, lam in enumerate(lambdas):
+        if lam in lambdas[:i]:
+            raise ValueError(f"lambda {lam:g} is listed twice")
     if solver_config is None:
         solver_config = SolverConfig()
     records: list[ConvergenceRecord] = []

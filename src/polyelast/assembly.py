@@ -5,15 +5,16 @@ The bilinear form of the scheme is, cell by cell,
     |K| * (2*mu * strain(u):strain(v) + lambda * div(u)*div(v)) + mu1 * S_K(u,v)
 
 so the global matrix is A0 + lambda*K, A0 = 2*mu*Gs^T W Gs + mu1*(F^T H F + H_b)
-and K = D^T W D, in the sparse operators of `ReconstructionOperators` (strain
-Gs, divergence D, vertex fit F, cell volumes W, h_K scalings H and H_b),
-summed over the chunks of cells of `operator_chunks`.  The volume load
-acts through the piecewise-constant displacement reconstruction M, so each
-cell vertex receives its convex weight times the cell integral of the force
-and bubbles receive no volume load.  Dirichlet values
-are imposed by lifting: constrained DOFs are filled from the boundary data
-(vertex point values, interpolator bubble moments) and eliminated from the
-reduced system.
+and K = D^T W D, in the sparse operators of `ReconstructionOperators`: the
+gradient G, the divergence theorem over the face traces, its symmetric part
+Gs and its trace D, the vertex fit F, the cell volumes W and the h_K
+scalings H and H_b, summed over the chunks of cells of `operator_chunks`.
+The volume load acts through the piecewise-constant displacement
+reconstruction M, so each cell vertex receives its convex weight times the
+cell integral of the force and bubbles receive no volume load.  Dirichlet
+values are imposed by lifting: constrained DOFs are filled from the boundary
+data (vertex point values, interpolator bubble moments) and eliminated from
+the reduced system.
 
 The matrix is assembled once per mesh as a `LambdaSplit` (`assemble_split`):
 A0 and the divergence map D with K = D^T W D (W the cell volumes).  From

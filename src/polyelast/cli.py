@@ -104,6 +104,15 @@ def _parse_lambdas(text: str, parser: argparse.ArgumentParser) -> list[float]:
     return values
 
 
+def _write_csv(text: str, path: str | None):
+    """Write CSV `text` to `path`, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(tol=args.tol, max_iterations=args.max_iters)
 
@@ -134,12 +143,7 @@ def _cmd_solve(args, parser) -> int:
     provenance = default_provenance(args.case, [args.mesh], [lam],
                                     not args.no_bubbles, args.seed,
                                     _solver_config(args))
-    text = format_records_csv([record], provenance)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(format_records_csv([record], provenance), args.out)
     if args.vtk:
         grad, mean = cell_fields(mesh, result.function.values)
         write_vtk(args.vtk, mesh,
@@ -166,12 +170,7 @@ def _cmd_convergence(args, parser) -> int:
         bubbles=not args.no_bubbles, solver_config=_solver_config(args),
         seed=args.seed,
     )
-    text = format_records_csv(records, provenance)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(format_records_csv(records, provenance), args.out)
     return 0
 
 
@@ -224,6 +223,9 @@ def run_check_suite(mesh, seed: int = DEFAULT_SEED) -> list[tuple[str, bool, str
     except (AssemblyError, SolverError) as exc:
         results.append(("patch test", False, str(exc)))
 
+    if dofmap.n_free == 0:
+        results.append(("korn ratio", True, "no free DOF to sample"))
+        return results
     try:
         stats = korn_ratio(mesh, dofmap, sample_count=16, seed=seed)
         ok = np.isfinite(stats.max_ratio) and stats.max_ratio >= 1.0 - 1e-12

@@ -6,7 +6,9 @@ coefficient vector always stores all 3*n_v + n_f entries; disabling bubbles
 constrains every bubble to zero through the same masking path used for
 Dirichlet conditions, so that both variants share one assembly code path.
 
-All reconstruction operators are linear in the DOF vector.
+All reconstruction operators are linear in the DOF vector.  The cell
+gradient is the divergence theorem over the face traces (the convex-weight
+vertex average plus the bubble times n_f), and the divergence is its trace.
 `ReconstructionOperators` builds them as sparse matrices for runs of cells
 of bounded size (`operator_chunks`), over which the assembly, the norms and
 the diagnostics sum; the per-cell functions are views of it on one cell.
@@ -223,8 +225,9 @@ class ReconstructionOperators:
     of the entries of the DOF vector on `dofs`, the n DOFs of these cells in
     ascending order, built in one batch from the mesh's CSR arrays:
 
-    - `gradient` (9k, n), built on first use like `fit`: row 9*c + 3*i + j is
-      d u_i / d x_j on cell cells[c];
+    - `gradient` (9k, n), built on first use like `divergence` and `fit`:
+      row 9*c + 3*i + j is d u_i / d x_j on cell cells[c];
+    - `divergence` (k, n): the trace of `gradient`;
     - `mean` (3k, n): the convex-weight average of the cell vertex values;
     - `fit` (3m, n), one row triple per cell vertex s (m pairs in all):
       v_s - P(x_s), with P the affine cell reconstruction;
@@ -269,48 +272,32 @@ class ReconstructionOperators:
                                                   minlength=len(bubbles))
 
     @cached_property
-    def _face_terms(self):
-        """Per face of a cell: its face id, outward normal and |f|/|K|; per
-        vertex of its loop: its face, its column among the vertices and |f|/|K|
-        times its convex weight."""
-        mesh, entries = self.mesh, self._face_entries
-        faces = mesh.cell_face_ids[entries]
-        n_out = mesh.cell_face_signs[entries, None] * mesh.face_normal[faces]
-        coeff = mesh.face_area[faces] / self.volume[self._cell_of_face]
-        loop, face_of_vertex = row_entries(mesh.face_loop_offsets, faces)
-        weight = coeff[face_of_vertex] * mesh._face_weights[loop]
-        loop_col = np.searchsorted(self._vertices, mesh.face_loop_vertices[loop])
-        return faces, n_out, coeff, face_of_vertex, loop_col, weight
-
-    @cached_property
     def gradient(self) -> sp.csr_matrix:
-        # |f|/|K| (face average + bubble * normal) tensor outward normal,
-        # summed over the faces of the cell
-        faces, n_out, coeff, face_of_vertex, loop_col, weight = self._face_terms
-        cell_of_face, ij = self._cell_of_face, np.arange(9).reshape(3, 3)
-        vertex_vals = weight[:, None, None] * n_out[face_of_vertex, None, :]
-        bubble_vals = coeff[:, None, None] * np.einsum("fi,fj->fij",
-                                                        self.mesh.face_normal[faces], n_out)
-        rows = np.concatenate([(9 * cell_of_face[face_of_vertex, None, None] + ij).ravel(),
-                               (9 * cell_of_face[:, None, None] + ij).ravel()])
-        cols = np.concatenate([(3 * loop_col[:, None, None] + ij // 3).ravel(),
-                               np.repeat(3 * len(self._vertices) + self._bubble_col, 9)])
-        vals = np.concatenate([np.broadcast_to(vertex_vals, (len(loop_col), 3, 3)).ravel(),
-                               bubble_vals.ravel()])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(9 * len(self.cells), self.n_dofs))
+        """G_K v = |K|^-1 sum_f |f| trace_f(v) (x) n_Kf as N T: the face-trace
+        map T (3m, n) has one row triple per (cell, face) pair p, and N (9k, 3m)
+        puts the outward normal n_out,p,j at (9c + 3i + j, 3p + i)."""
+        mesh, entries, cell = self.mesh, self._face_entries, self._cell_of_face
+        faces, m = mesh.cell_face_ids[entries], len(entries)
+        coeff = mesh.face_area[faces] / self.volume[cell]
+        loop, pair = row_entries(mesh.face_loop_offsets, faces)
+        loop_col = np.searchsorted(self._vertices, mesh.face_loop_vertices[loop])
+        rows = np.concatenate([(3 * pair[:, None] + np.arange(3)).ravel(), np.arange(3 * m)])
+        cols = np.concatenate([(3 * loop_col[:, None] + np.arange(3)).ravel(),
+                               np.repeat(3 * len(self._vertices) + self._bubble_col, 3)])
+        vals = np.concatenate([np.repeat(coeff[pair] * mesh._face_weights[loop], 3),
+                               (coeff[:, None] * mesh.face_normal[faces]).ravel()])
+        trace = sp.csr_matrix((vals, (rows, cols)), shape=(3 * m, self.n_dofs))
+        n_out = mesh.cell_face_signs[entries, None] * mesh.face_normal[faces]
+        normal = sp.csr_matrix((np.repeat(n_out, 3, axis=0).ravel(),
+                                (np.repeat(9 * cell, 9) + np.tile(np.arange(9), m),
+                                 np.repeat(np.arange(3 * m), 3))),
+                               shape=(9 * len(self.cells), 3 * m))
+        return (normal @ trace).tocsr()
 
     @cached_property
     def divergence(self) -> sp.csr_matrix:
-        """(k, n): the trace of `gradient`, the divergence of each cell."""
-        faces, n_out, coeff, face_of_vertex, loop_col, weight = self._face_terms
-        cell_of_face = self._cell_of_face
-        rows = np.concatenate([np.repeat(cell_of_face[face_of_vertex], 3), cell_of_face])
-        cols = np.concatenate([(3 * loop_col[:, None] + np.arange(3)).ravel(),
-                               3 * len(self._vertices) + self._bubble_col])
-        vals = np.concatenate([(weight[:, None] * n_out[face_of_vertex]).ravel(),
-                               coeff * np.einsum("fi,fi->f", self.mesh.face_normal[faces],
-                                                 n_out)])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(len(self.cells), self.n_dofs))
+        return (sp.kron(sp.identity(len(self.cells)), _TRACE, format="csr")
+                @ self.gradient).tocsr()
 
     def energy_form(self, strain_weight: float, divergence_weight: float) -> sp.csr_matrix:
         """Matrix of sum_K |K| (a strain(u):strain(v) + b div(u) div(v)), with

@@ -244,6 +244,12 @@ def test_korn_ratio_finite_and_rotation_case():
     assert norms.h1**2 / denom < 1e3
 
 
+def test_korn_ratio_needs_a_free_dof():
+    mesh = generate_structured_mesh("hex", 1)
+    with pytest.raises(ValueError, match="^no free DOF to sample$"):
+        korn_ratio(mesh, DofMap(mesh), sample_count=4)
+
+
 def test_parse_mesh_source():
     s = parse_mesh_source("tet:4:0.3")
     assert (s.kind, s.n, s.perturb) == ("tet", 4, 0.3)

@@ -8,10 +8,10 @@ import pytest
 import polyelast.mesh
 from polyelast.analysis import manufactured_case, relative_error
 from polyelast.assembly import assemble_load, dirichlet_lifting
-from polyelast.mesh import _CHUNK_POINTS, generate_structured_mesh, parse_polymesh
+from polyelast.mesh import _CHUNK_POINTS, _integrals, generate_structured_mesh, parse_polymesh
 from polyelast.quadrature import map_triangle, triangle_rule
 from polyelast.space import DofMap, interpolate
-from test_polyhedral import pentagonal_prism_text
+from test_polyhedral import merged_hex_text, pentagonal_prism_text
 
 MESHES = {
     "hex:3": lambda: generate_structured_mesh("hex", 3),
@@ -105,3 +105,26 @@ def test_field_evaluations_stay_within_one_chunk(monkeypatch):
     for name, value in results.items():
         reference = unchunked[name]
         assert np.linalg.norm(value - reference) <= 1e-13 * np.linalg.norm(reference), name
+
+
+def _field(points, entity):
+    """A vector field of the points and of the id of their face or cell."""
+    return np.column_stack([points[:, 0] * points[:, 1], points[:, 2] ** 2 + entity])
+
+
+@pytest.mark.parametrize("kind,text,ids", [
+    # quad, pentagon, quad, pentagon, quad: the quads are no one block of points
+    ("face", pentagonal_prism_text, [2, 0, 3, 1, 4]),
+    # hex, merged 10-face cell, hex, hex: likewise the hexahedra
+    ("cell", merged_hex_text, [3, 0, 5, 1]),
+])
+def test_integrals_over_interleaved_sizes_match_the_per_entity_rules(kind, text, ids):
+    mesh, ids = parse_polymesh(text()), np.array(ids)
+    sizes = np.diff(mesh._face_tri_offsets if kind == "face" else mesh._cell_tri_offsets)[ids]
+    positions = [np.flatnonzero(sizes == size) for size in np.unique(sizes)]
+    assert any(np.any(np.diff(at) > 1) for at in positions)
+    quadrature = mesh.face_quadrature if kind == "face" else mesh.cell_quadrature
+    expected = [weights @ _field(points, entity)
+                for entity in ids for points, weights in [quadrature(entity, 4)]]
+    integrals = _integrals(mesh, kind, 4, lambda points, at: _field(points, ids[at]), ids)
+    np.testing.assert_allclose(integrals, expected, rtol=1e-14, atol=0)

@@ -211,3 +211,49 @@ def test_check_suite_interpolates_affine_fields_at_degree_5(monkeypatch):
     assert all(ok for _, ok, _ in results), results
     # the identity, the solenoidal field at the default degree, the affine reference
     assert degrees == [(5,), (), (5,)]
+
+
+def test_repeated_lambda_is_rejected_before_any_mesh_is_built(monkeypatch, capsys):
+    import polyelast.analysis as analysis
+
+    builds = []
+    monkeypatch.setattr(analysis, "generate_structured_mesh",
+                        lambda *args, **kwargs: builds.append(args))
+    code = main(["convergence", "--case", "example2", "--mesh-series", "tet:2",
+                 "--lambda", "1,1e6,1"])
+    assert (code, builds) == (1, [])
+    assert capsys.readouterr().err == "error: lambda 1 is listed twice\n"
+
+
+def test_check_passes_on_a_mesh_with_no_free_dof(capsys):
+    assert main(["check", "--mesh", "hex:1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("PASS") for line in lines)
+    assert lines[-1] == "PASS  korn ratio: no free DOF to sample"
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (["solve", "--mesh", "hex:2", "--lambda", "1e3"], ["example2,hex,2,"]),
+    (["convergence", "--mesh-series", "hex:1,hex:2", "--lambda", "1"],
+     ["example2,hex,1,", "example2,hex,2,"]),
+])
+def test_csv_goes_to_stdout_without_out(argv, rows, capsys):
+    assert main([argv[0], "--case", "example2", *argv[1:]]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# polyelast 0.1.0 case=example2")
+    assert lines[1] == CSV_HEADER
+    assert len(lines) == 2 + len(rows)
+    assert all(line.startswith(row) for line, row in zip(lines[2:], rows))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--mesh", "hex:2", "--lambda", "1,abc"], "malformed --lambda list: '1,abc'"),
+    (["solve", "--mesh", "hex:2", "--lambda", ","], "--lambda list must be non-empty"),
+    (["convergence", "--mesh-series", ",", "--lambda", "1"],
+     "--mesh-series must list at least one mesh"),
+])
+def test_malformed_lists_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--case", "example2", *argv[1:]])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
