@@ -23,7 +23,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import BoundaryConditions, assemble_split, check_setup, lifted_system
+from .assembly import (
+    BoundaryConditions,
+    assemble_load,
+    assemble_split,
+    check_setup,
+    dirichlet_lifting,
+    reduce_lifted,
+)
 from .mesh import DEFAULT_SEED, Mesh, _integrals, generate_structured_mesh, parse_polymesh
 from .solver import SolverConfig, solve_spd
 from .space import (
@@ -128,9 +135,40 @@ def _sum_of_squares(m: np.ndarray) -> np.ndarray:
     return total
 
 
+def _stress(two_mu: float, strain: np.ndarray, pressure: np.ndarray) -> np.ndarray:
+    """The (n, 3, 3) stress two_mu * strain + pressure * I."""
+    out = two_mu * strain.transpose(1, 2, 0)
+    for j in range(3):
+        out[j, j] += pressure
+    return out.transpose(2, 0, 1)
+
+
+def _traction(stress: np.ndarray, normal) -> np.ndarray:
+    """stress . n for one normal (3,) or one per point (n, 3)."""
+    # a C-ordered stress: the stacked product rounds by the layout of its operand
+    stress = np.ascontiguousarray(stress)
+    return (stress @ np.asarray(normal, dtype=float)[..., None])[..., 0]
+
+
+@dataclass(frozen=True)
+class ExactData:
+    """The exact fields that the load, the lifting, the interpolant and the
+    error read: the displacement, its strain, the body force and the traction
+    `traction(points, normal)`."""
+
+    displacement: Callable
+    strain: Callable
+    body_force: Callable
+    traction: Callable
+
+
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Exact solution bundle for one benchmark case at fixed material values."""
+    """Exact solution bundle for one benchmark case at fixed material values.
+
+    `lambda_parts`, where the case has them (example2, example3), are the
+    lambda-free coefficients (t^0, t^1) of its exact data in t = 1/lambda:
+    each field is the t^0 part plus the t^1 part divided by lambda."""
 
     name: str
     material: MaterialParams
@@ -140,19 +178,26 @@ class ManufacturedCase:
     divergence: Callable
     body_force: Callable
     dirichlet_faces: Callable  # Mesh -> bool mask over faces
+    lambda_parts: tuple[ExactData, ExactData] | None = None
+
+    @property
+    def parts(self) -> tuple[ExactData, ...]:
+        """The exact data as coefficients of t = 1/lambda: `lambda_parts`, or
+        the case's own fields as the one t^0 part.  The parts of example1,
+        example2 and example3 do not depend on lambda; the traction of
+        `affine` carries lambda * tr(A) * n, and is read only on Neumann
+        faces, of which `affine` has none."""
+        if self.lambda_parts is not None:
+            return self.lambda_parts
+        return (ExactData(self.displacement, self.strain, self.body_force, self.traction),)
 
     def stress_field(self, points: np.ndarray) -> np.ndarray:
-        out = (2.0 * self.material.mu) * self.strain(points).transpose(1, 2, 0)
-        pressure = self.material.lam * self.divergence(points)
-        for j in range(3):
-            out[j, j] += pressure
-        return out.transpose(2, 0, 1)
+        return _stress(2.0 * self.material.mu, self.strain(points),
+                       self.material.lam * self.divergence(points))
 
     def traction(self, points: np.ndarray, normal: np.ndarray) -> np.ndarray:
         """Traction at `points` for one normal (3,) or one per point (n, 3)."""
-        # a C-ordered stress: the stacked product rounds by the layout of its operand
-        stress = np.ascontiguousarray(self.stress_field(points))
-        return (stress @ np.asarray(normal, dtype=float)[..., None])[..., 0]
+        return _traction(self.stress_field(points), normal)
 
     def boundary_conditions(self, mesh: Mesh) -> BoundaryConditions:
         return BoundaryConditions(
@@ -179,6 +224,45 @@ def case_dirichlet_tagger(name: str) -> Callable:
     if name in CASE_NAMES:
         return _all_boundary
     raise ValueError(f"unknown case {name!r}; expected one of {CASE_NAMES}")
+
+
+def _example2_parts(k: float, mu: float) -> tuple[ExactData, ExactData]:
+    """The t^0 and t^1 parts of the example2/example3 data in t = 1/lambda,
+    for u = a + s/lambda with the solenoidal a of `_field_a` and
+    s = (sin kx, sin ky, sin kz): the strains eps(a) and eps(s); the body
+    forces 3k^2 mu a + k^2 s and 2 mu k^2 s; the tractions
+    (2 mu eps(a) + div(s) I) n and 2 mu eps(s) n, since lambda div(u) = div(s)."""
+
+    def sines(points):
+        return np.sin(np.multiply(points.T, k, order="C"))
+
+    def strain_a(points):
+        return _symmetric_gradient(lambda parts, i, j, out: _grad_a_entry(parts, k, i, j, out),
+                                   _trig_parts(points, k))
+
+    def strain_s(points):  # diagonal: k cos(k x_i)
+        out = np.zeros((3, 3, len(points)))
+        out[[0, 1, 2], [0, 1, 2]] = k * np.cos(np.multiply(points.T, k, order="C"))
+        return out.transpose(2, 0, 1)
+
+    def force_a(points):
+        sin, cos = _trig_parts(points, k)
+        out = _field_a((sin, cos))
+        out *= 3.0 * k * k * mu
+        out += np.multiply(k * k, sin, out=sin)
+        return out.T
+
+    def traction_a(points, normal):
+        cos = np.cos(np.multiply(points.T, k, order="C"))
+        return _traction(_stress(2.0 * mu, strain_a(points), k * (cos[0] + cos[1] + cos[2])),
+                         normal)
+
+    return (ExactData(displacement=lambda p: _field_a(_trig_parts(p, k)).T,
+                      strain=strain_a, body_force=force_a, traction=traction_a),
+            ExactData(displacement=lambda p: sines(p).T,
+                      strain=strain_s,
+                      body_force=lambda p: (2.0 * mu * k * k) * sines(p).T,
+                      traction=lambda p, normal: _traction((2.0 * mu) * strain_s(p), normal)))
 
 
 def manufactured_case(name: str, lam: float, mu: float = 1.0,
@@ -243,6 +327,7 @@ def manufactured_case(name: str, lam: float, mu: float = 1.0,
             divergence=div,
             body_force=force,
             dirichlet_faces=tagger,
+            lambda_parts=_example2_parts(k, mu),
         )
     if name == "affine":
         return ManufacturedCase(
@@ -301,13 +386,47 @@ def exact_strain_norm(mesh: Mesh, strain_fn: Callable) -> float:
     return float(np.sqrt(squares.sum()))
 
 
+def strain_gram(mesh: Mesh, strain_fns: Sequence[Callable]) -> np.ndarray:
+    """The L2 inner products (eps_i, eps_j) of exact strain fields over the
+    mesh, as a symmetric matrix, from one pass of cell quadrature."""
+    pairs = [(i, j) for i in range(len(strain_fns)) for j in range(i, len(strain_fns))]
+
+    def products(points, at):
+        strains = [fn(points).reshape(len(points), 9) for fn in strain_fns]
+        return np.column_stack([np.einsum("pk,pk->p", strains[i], strains[j])
+                                for i, j in pairs])
+
+    sums = _integrals(mesh, "cell", QUAD_DEGREE, products).sum(axis=0)
+    gram = np.empty((len(strain_fns), len(strain_fns)))
+    for (i, j), value in zip(pairs, sums):
+        gram[i, j] = gram[j, i] = value
+    return gram
+
+
+def at_lambda(parts: Sequence, lam: float):
+    """parts[0] + parts[1] / lam, or a copy of parts[0] where it is the only
+    part: a field given by its coefficients in t = 1/lambda."""
+    if len(parts) == 1:
+        return np.array(parts[0], copy=True)
+    return parts[0] + np.divide(parts[1], lam)
+
+
+def norm_at_lambda(gram: np.ndarray, lam: float) -> float:
+    """The L2 norm of the strain parts[0] + parts[1] / lam, from the
+    `strain_gram` of its parts."""
+    if len(gram) == 1:
+        return float(np.sqrt(gram[0, 0]))
+    return float(np.sqrt(gram[0, 0] + (2.0 * gram[0, 1] + gram[1, 1] / lam) / lam))
+
+
 def relative_error(mesh: Mesh, solution: DiscreteFunction,
-                   reference: DiscreteFunction, strain_fn: Callable) -> float:
+                   reference: DiscreteFunction, strain: Callable | float) -> float:
     """Strain-L2 distance between the discrete solution and the interpolant
-    of the exact solution, relative to the exact strain norm."""
+    of the exact solution, relative to the exact strain norm: that of the
+    field `strain`, or `strain` itself where it is the norm."""
     grad = cell_fields(mesh, solution.values - reference.values)[0]
     num_sq = _volume_norm_sq(mesh, _strain(grad))
-    den = exact_strain_norm(mesh, strain_fn)
+    den = strain if isinstance(strain, float) else exact_strain_norm(mesh, strain)
     if den == 0.0:
         raise ZeroDivisionError("exact strain norm vanishes")
     return float(np.sqrt(num_sq) / den)
@@ -461,6 +580,17 @@ def format_records_csv(records: Sequence[ConvergenceRecord],
     return out.getvalue()
 
 
+def _lambda_free_data(mesh: Mesh, dofmap: DofMap, tags: np.ndarray,
+                      parts: Sequence[ExactData]):
+    """Per part of the exact data, its load and its interpolant, and the
+    `strain_gram` of the parts' strains: what a study needs of the exact
+    data on one mesh, for every lambda."""
+    loads = [assemble_load(mesh, dofmap, BoundaryConditions(tags, neumann_data=part.traction),
+                           part.body_force) for part in parts]
+    interpolants = [interpolate(mesh, dofmap, part.displacement).values for part in parts]
+    return loads, interpolants, strain_gram(mesh, [part.strain for part in parts])
+
+
 def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
                           lambdas: Sequence[float], *, mu: float = 1.0,
                           mu1: float | None = None, bubbles: bool = True,
@@ -472,10 +602,14 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
 
     The matrix A0 + lambda*K is split once per mesh by `assemble_split`, into
     A0 and the divergence map D of K = D^T W D, and every lambda reduces the
-    split at that lambda (see `reduce_system`).  The exact fields and hence
-    the loads and liftings depend on lambda and are assembled per lambda.
-    Every lambda (and mu, mu1) is validated, and none may be listed twice,
-    before the first mesh is built.
+    split at that lambda (see `reduce_system`).  The exact data are affine in
+    1/lambda (`ManufacturedCase.parts`), so the load and the interpolant of
+    each part and the strain products of the exact norm are computed once per
+    mesh, and every lambda combines them.  Every lambda takes its own
+    Dirichlet lifting, and its interpolant takes the lifting's constrained
+    entries, so that a mesh with no free DOF has a zero error.
+    Every lambda (and mu, mu1) is validated, and neither a lambda nor a mesh
+    may be listed twice, before the first mesh is built.
     In the no-bubble ablation mode, rates are reported only for lambda < 1e3
     rows, where the error still behaves like a power of h.  A zero error (a
     mesh with no free DOF) has no rate to it or from it.
@@ -486,6 +620,10 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
     for i, lam in enumerate(lambdas):
         if lam in lambdas[:i]:
             raise ValueError(f"lambda {lam:g} is listed twice")
+    labels = [source.label for source in mesh_sources]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"mesh {label} is listed twice")
     if solver_config is None:
         solver_config = SolverConfig()
     records: list[ConvergenceRecord] = []
@@ -500,13 +638,20 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
         logger.info("%s: lambda split built in %.2fs, nnz A0=%d D=%d, K=D^T W D",
                     source.label, time.perf_counter() - start, split.full_a0.nnz,
                     split.full_divergence.nnz)
+        start = time.perf_counter()
+        loads, interpolants, gram = _lambda_free_data(mesh, dofmap, tags, cases[0].parts)
+        logger.info("%s: lambda-free exact data (%d parts) in %.2fs", source.label,
+                    len(loads), time.perf_counter() - start)
+        constrained = dofmap.constrained_indices
         for lam, case in zip(lambdas, cases):
             start = time.perf_counter()
-            system = lifted_system(mesh, dofmap, split.at(lam),
-                                   case.boundary_conditions(mesh), case.body_force)
+            lifting = dirichlet_lifting(mesh, dofmap, case.boundary_conditions(mesh))
+            system = reduce_lifted(split.at(lam), at_lambda(loads, lam), lifting, dofmap)
             result = solve_spd(system, solver_config)
-            reference = interpolate(mesh, dofmap, case.displacement)
-            err = relative_error(mesh, result.function, reference, case.strain)
+            reference = at_lambda(interpolants, lam)
+            reference[constrained] = lifting[constrained]
+            err = relative_error(mesh, result.function, DiscreteFunction(dofmap, reference),
+                                 norm_at_lambda(gram, lam))
             seconds = time.perf_counter() - start
             rate = None
             err_prev, h_prev = previous.get(lam, (0.0, 0.0))

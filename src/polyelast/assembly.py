@@ -398,10 +398,12 @@ def assemble_split(mesh: Mesh, dofmap: DofMap, material: MaterialParams) -> Lamb
 def assemble(mesh: Mesh, dofmap: DofMap, material: MaterialParams,
              bcs: BoundaryConditions, body_force: Callable | None = None) -> SparseSystem:
     """Assemble the reduced linear system of the scheme, from the split of
-    `assemble_split` at the lambda of `material`."""
+    `assemble_split` at the lambda of `material`, with the load and the
+    lifting of `bcs` and `body_force`."""
     check_setup(mesh, dofmap, bcs)
     split = assemble_split(mesh, dofmap, material).at(material.lam)
-    return lifted_system(mesh, dofmap, split, bcs, body_force)
+    return reduce_lifted(split, assemble_load(mesh, dofmap, bcs, body_force),
+                         dirichlet_lifting(mesh, dofmap, bcs), dofmap)
 
 
 def check_setup(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions):
@@ -416,13 +418,9 @@ def check_setup(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions):
     check_dirichlet_coverage(mesh, dofmap)
 
 
-def lifted_system(mesh: Mesh, dofmap: DofMap, full_matrix: sp.csr_matrix | LambdaSplit,
-                  bcs: BoundaryConditions, body_force: Callable | None = None) -> SparseSystem:
-    """The reduced system of `full_matrix` (or its `LambdaSplit`), with the
-    load and the lifting of `bcs` and `body_force` (the part of `assemble`
-    after its matrix)."""
-    full_load = assemble_load(mesh, dofmap, bcs, body_force)
-    lifting = dirichlet_lifting(mesh, dofmap, bcs)
+def reduce_lifted(full_matrix: sp.csr_matrix | LambdaSplit, full_load: np.ndarray,
+                  lifting: np.ndarray, dofmap: DofMap) -> SparseSystem:
+    """`reduce_system`, once the load and the lifting are found finite."""
     if not np.isfinite(lifting).all() or not np.isfinite(full_load).all():
         raise AssemblyError("non-finite value in boundary data or load")
     return reduce_system(full_matrix, full_load, lifting, dofmap)

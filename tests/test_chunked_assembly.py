@@ -137,7 +137,7 @@ def test_traced_study_assembles_one_matrix_per_mesh(monkeypatch, tmp_path):
     names = [span["name"] for span in tracer.spans]
     assert names.count("assembly.matrix") == 2
     assert names.count("assembly.reduce") == 6
-    assert names.count("assembly.load") == 6
+    assert names.count("assembly.load") == 4  # one per part of the data, per mesh
 
 
 def test_study_logs_the_split_once_per_mesh(caplog):

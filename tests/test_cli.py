@@ -225,6 +225,23 @@ def test_repeated_lambda_is_rejected_before_any_mesh_is_built(monkeypatch, capsy
     assert capsys.readouterr().err == "error: lambda 1 is listed twice\n"
 
 
+@pytest.mark.parametrize("series, repeated", [("hex:1,hex:2,hex:2:0", "hex:2"),
+                                              ("no/such.poly,no/such.poly", "no/such.poly")])
+def test_repeated_mesh_is_rejected_before_any_mesh_is_built(series, repeated, monkeypatch,
+                                                            capsys):
+    import polyelast.analysis as analysis
+
+    builds = []
+    monkeypatch.setattr(analysis, "generate_structured_mesh",
+                        lambda *args, **kwargs: builds.append(args))
+    monkeypatch.setattr(analysis, "parse_polymesh",
+                        lambda *args, **kwargs: builds.append(args))
+    code = main(["convergence", "--case", "example2", "--mesh-series", series,
+                 "--lambda", "1"])
+    assert (code, builds) == (1, [])
+    assert capsys.readouterr().err == f"error: mesh {repeated} is listed twice\n"
+
+
 def test_check_passes_on_a_mesh_with_no_free_dof(capsys):
     assert main(["check", "--mesh", "hex:1"]) == 0
     lines = capsys.readouterr().out.splitlines()
