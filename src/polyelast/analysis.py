@@ -116,25 +116,6 @@ def _symmetric_gradient(entry: Callable, parts: tuple) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
-def _sum_of_squares(m: np.ndarray) -> np.ndarray:
-    """Per point, the sum of the squared entries of the (n, 3, 3) `m`, added
-    in the order `np.sum(m**2, axis=(1, 2))` adds a C-ordered array."""
-    entries = m.transpose(1, 2, 0)
-
-    def pair(a, b):
-        out = np.square(entries[a])
-        out += np.square(entries[b])
-        return out
-
-    total = pair((0, 0), (0, 1))
-    total += pair((0, 2), (1, 0))
-    rest = pair((1, 1), (1, 2))
-    rest += pair((2, 0), (2, 1))
-    total += rest
-    total += np.square(entries[2, 2])
-    return total
-
-
 def _stress(two_mu: float, strain: np.ndarray, pressure: np.ndarray) -> np.ndarray:
     """The (n, 3, 3) stress two_mu * strain + pressure * I."""
     out = two_mu * strain.transpose(1, 2, 0)
@@ -381,9 +362,7 @@ def discrete_norms(mesh: Mesh, func: DiscreteFunction,
 
 def exact_strain_norm(mesh: Mesh, strain_fn: Callable) -> float:
     """L2 norm of an exact strain field over the mesh, by cell quadrature."""
-    squares = _integrals(mesh, "cell", QUAD_DEGREE,
-                         lambda points, at: _sum_of_squares(strain_fn(points)))
-    return float(np.sqrt(squares.sum()))
+    return float(np.sqrt(strain_gram(mesh, [strain_fn])[0, 0]))
 
 
 def strain_gram(mesh: Mesh, strain_fns: Sequence[Callable]) -> np.ndarray:
@@ -448,9 +427,12 @@ def consistency_error(mesh: Mesh, gradient_fn: Callable,
     exact gradient and the piecewise-constant reconstruction, plus the
     stabilization energy, all under a square root."""
     grad, _, s_val = cell_fields(mesh, interpolant.values, stabilization=True)
-    squares = _integrals(mesh, "cell", QUAD_DEGREE, lambda points, at: _sum_of_squares(
-        gradient_fn(points) - grad[at]))
-    return float(np.sqrt(squares.sum() + s_val))
+
+    def squares(points, at):
+        gap = (gradient_fn(points) - grad[at]).reshape(len(points), 9)
+        return np.einsum("pk,pk->p", gap, gap)
+
+    return float(np.sqrt(_integrals(mesh, "cell", QUAD_DEGREE, squares).sum() + s_val))
 
 
 def adjoint_residual(mesh: Mesh, stress_fn: Callable, force_fn: Callable,
@@ -609,7 +591,8 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
     Dirichlet lifting, and its interpolant takes the lifting's constrained
     entries, so that a mesh with no free DOF has a zero error.
     Every lambda (and mu, mu1) is validated, and neither a lambda nor a mesh
-    may be listed twice, before the first mesh is built.
+    may be listed twice, before the first mesh is built; each mesh's h must
+    be below the previous mesh's, which is checked before the mesh is split.
     In the no-bubble ablation mode, rates are reported only for lambda < 1e3
     rows, where the error still behaves like a power of h.  A zero error (a
     mesh with no free DOF) has no rate to it or from it.
@@ -628,8 +611,13 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
         solver_config = SolverConfig()
     records: list[ConvergenceRecord] = []
     previous: dict[float, tuple[float, float]] = {}
+    coarser = None
     for source in mesh_sources:
         mesh = source.build(seed=seed)
+        if coarser is not None and mesh.h >= coarser[1]:
+            raise ValueError(f"h must decrease between refinement levels: {source.label} "
+                             f"(h={mesh.h:g}) follows {coarser[0]} (h={coarser[1]:g})")
+        coarser = source.label, mesh.h
         tags = case_dirichlet_tagger(case_name)(mesh)
         dofmap = DofMap(mesh, bubbles_enabled=bubbles, dirichlet_faces=tags)
         check_setup(mesh, dofmap, BoundaryConditions(tags))

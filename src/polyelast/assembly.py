@@ -7,8 +7,8 @@ The bilinear form of the scheme is, cell by cell,
 so the global matrix is A0 + lambda*K, A0 = 2*mu*Gs^T W Gs + mu1*(F^T H F + H_b)
 and K = D^T W D, in the sparse operators of `ReconstructionOperators`: the
 gradient G, the divergence theorem over the face traces, its symmetric part
-Gs and its trace D, the vertex fit F, the cell volumes W and the h_K
-scalings H and H_b, summed over the chunks of cells of `operator_chunks`.
+Gs, the vertex fit F, the cell volumes W and the h_K scalings H and H_b,
+summed over the chunks of cells of `operator_chunks`; D is the trace of G.
 The volume load acts through the piecewise-constant displacement
 reconstruction M, so each cell vertex receives its convex weight times the
 cell integral of the force and bubbles receive no volume load.  Dirichlet
@@ -17,8 +17,9 @@ data (vertex point values, interpolator bubble moments) and eliminated from
 the reduced system.
 
 The matrix is assembled once per mesh as a `LambdaSplit` (`assemble_split`):
-A0 and the divergence map D with K = D^T W D (W the cell volumes).  From
-the split at one lambda, `reduce_system` alone chooses the reduced system:
+A0, from one walk over the chunks, and the divergence map D of K = D^T W D,
+the balance of face fluxes, over all cells at once (`divergence_operator`).
+From the split at one lambda, `reduce_system` alone chooses the reduced system:
 with bubbles and lambda > 0 the split with its lambda-free loads, on whose
 mixed system [A0, D^T W; W D, -W/lambda] the solver works, so that
 A0 + lambda*K is formed only where it is read; the penalty matrix
@@ -291,15 +292,24 @@ def divergence_matrix(mesh: Mesh) -> sp.csr_matrix:
 
 
 def divergence_operator(mesh: Mesh) -> sp.csr_matrix:
-    """D (n_cells, N): the divergence of every cell, the trace of its gradient,
-    as a map of the DOF vector, so that K = D^T W D with W the cell volumes."""
-    size = 3 * mesh.n_vertices + mesh.n_faces
-    rows = []
-    for ops in operator_chunks(mesh):
-        local = ops.divergence
-        rows.append(sp.csr_matrix((local.data, ops.dofs[local.indices], local.indptr),
-                                  shape=(len(ops.cells), size)))
-    return sp.vstack(rows, format="csr")
+    """D (n_cells, N), the divergence of every cell as a map of the DOF vector
+    (K = D^T W D): the balance of its face fluxes W^-1 C Phi, the trace of G by
+    the divergence theorem.  Phi (n_faces, N) maps the DOF vector to the fluxes
+    |f| (n_f . sum_v w_fv u_v + b_f); C holds the signs of each cell's faces."""
+    face = np.repeat(np.arange(mesh.n_faces), np.diff(mesh.face_loop_offsets))
+    bubbles = 3 * mesh.face_loop_offsets[1:]  # each face's bubble after its vertex entries
+    data = np.insert(((mesh.face_area[face] * mesh._face_weights)[:, None]
+                      * mesh.face_normal[face]).ravel(), bubbles, mesh.face_area)
+    # int32, the index type scipy keeps below 2**31 DOFs, so that it makes no copy
+    indices = np.insert((3 * mesh.face_loop_vertices[:, None] + np.arange(3)).astype(np.int32)
+                        .ravel(), bubbles, 3 * mesh.n_vertices + np.arange(mesh.n_faces))
+    flux = sp.csr_matrix(
+        (data, indices, 3 * mesh.face_loop_offsets + np.arange(mesh.n_faces + 1)),
+        shape=(mesh.n_faces, 3 * mesh.n_vertices + mesh.n_faces))
+    signs = sp.csr_matrix(
+        (mesh.cell_face_signs / np.repeat(mesh.cell_volume, np.diff(mesh.cell_face_offsets)),
+         mesh.cell_face_ids, mesh.cell_face_offsets), shape=(mesh.n_cells, mesh.n_faces))
+    return signs @ flux
 
 
 def assemble_load(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions,

@@ -40,6 +40,16 @@ logger = logging.getLogger(__name__)
 AFFINE_QUAD_DEGREE = 5
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError("must be a nonnegative integer")
+    return seed
+
+
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--mu", type=float, default=1.0, help="shear modulus (default 1)")
     p.add_argument("--mu1", type=float, default=None,
@@ -53,7 +63,7 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-iters", type=int, default=None,
                    help="iteration cap of MINRES or CG (default: 20*sqrt(n) for n "
                         "free DOFs, at least 1000)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help="seed for mesh perturbation and sampled diagnostics")
     p.add_argument("--verbose", action="store_true", help="log progress")
 
@@ -113,11 +123,8 @@ def _write_csv(text: str, path: str | None):
         sys.stdout.write(text)
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(tol=args.tol, max_iterations=args.max_iters)
-
-
 def _cmd_solve(args, parser) -> int:
+    config = SolverConfig(tol=args.tol, max_iterations=args.max_iters)
     lambdas = _parse_lambdas(args.lambdas, parser)
     if len(lambdas) != 1:
         parser.error("solve expects exactly one --lambda value")
@@ -130,7 +137,7 @@ def _cmd_solve(args, parser) -> int:
                     dirichlet_faces=bcs.dirichlet_faces)
     start = time.perf_counter()
     system = assemble(mesh, dofmap, case.material, bcs, case.body_force)
-    result = solve_spd(system, _solver_config(args))
+    result = solve_spd(system, config)
     reference = interpolate(mesh, dofmap, case.displacement)
     err = relative_error(mesh, result.function, reference, case.strain)
     seconds = time.perf_counter() - start
@@ -141,8 +148,7 @@ def _cmd_solve(args, parser) -> int:
         cg_iters=result.iterations, seconds=seconds,
     )
     provenance = default_provenance(args.case, [args.mesh], [lam],
-                                    not args.no_bubbles, args.seed,
-                                    _solver_config(args))
+                                    not args.no_bubbles, args.seed, config)
     _write_csv(format_records_csv([record], provenance), args.out)
     if args.vtk:
         grad, mean = cell_fields(mesh, result.function.values)
@@ -154,6 +160,7 @@ def _cmd_solve(args, parser) -> int:
 
 
 def _cmd_convergence(args, parser) -> int:
+    config = SolverConfig(tol=args.tol, max_iterations=args.max_iters)
     lambdas = _parse_lambdas(args.lambdas, parser)
     specs = [s for s in args.mesh_series.split(",") if s.strip()]
     if not specs:
@@ -163,11 +170,10 @@ def _cmd_convergence(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     provenance = default_provenance(args.case, specs, lambdas,
-                                    not args.no_bubbles, args.seed,
-                                    _solver_config(args))
+                                    not args.no_bubbles, args.seed, config)
     records = run_convergence_study(
         args.case, sources, lambdas, mu=args.mu, mu1=args.mu1,
-        bubbles=not args.no_bubbles, solver_config=_solver_config(args),
+        bubbles=not args.no_bubbles, solver_config=config,
         seed=args.seed,
     )
     _write_csv(format_records_csv(records, provenance), args.out)

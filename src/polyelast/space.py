@@ -8,10 +8,11 @@ Dirichlet conditions, so that both variants share one assembly code path.
 
 All reconstruction operators are linear in the DOF vector.  The cell
 gradient is the divergence theorem over the face traces (the convex-weight
-vertex average plus the bubble times n_f), and the divergence is its trace.
-`ReconstructionOperators` builds them as sparse matrices for runs of cells
-of bounded size (`operator_chunks`), over which the assembly, the norms and
-the diagnostics sum; the per-cell functions are views of it on one cell.
+vertex average plus the bubble times n_f); its trace, the divergence, is the
+balance of the face fluxes (`assembly.divergence_operator`).
+`ReconstructionOperators` builds the others as sparse matrices for runs of
+cells of bounded size (`operator_chunks`), over which the assembly, the norms
+and the diagnostics sum; the per-cell functions are views of it on one cell.
 """
 
 from __future__ import annotations
@@ -225,9 +226,8 @@ class ReconstructionOperators:
     of the entries of the DOF vector on `dofs`, the n DOFs of these cells in
     ascending order, built in one batch from the mesh's CSR arrays:
 
-    - `gradient` (9k, n), built on first use like `divergence` and `fit`:
+    - `gradient` (9k, n), built on first use like `fit`:
       row 9*c + 3*i + j is d u_i / d x_j on cell cells[c];
-    - `divergence` (k, n): the trace of `gradient`;
     - `mean` (3k, n): the convex-weight average of the cell vertex values;
     - `fit` (3m, n), one row triple per cell vertex s (m pairs in all):
       v_s - P(x_s), with P the affine cell reconstruction;
@@ -293,11 +293,6 @@ class ReconstructionOperators:
                                  np.repeat(np.arange(3 * m), 3))),
                                shape=(9 * len(self.cells), 3 * m))
         return (normal @ trace).tocsr()
-
-    @cached_property
-    def divergence(self) -> sp.csr_matrix:
-        return (sp.kron(sp.identity(len(self.cells)), _TRACE, format="csr")
-                @ self.gradient).tocsr()
 
     def energy_form(self, strain_weight: float, divergence_weight: float) -> sp.csr_matrix:
         """Matrix of sum_K |K| (a strain(u):strain(v) + b div(u) div(v)), with

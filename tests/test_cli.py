@@ -274,3 +274,66 @@ def test_malformed_lists_exit_2(argv, message, capsys):
         main([argv[0], "--case", "example2", *argv[1:]])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_refinement_order_is_checked_before_the_mesh_is_split(monkeypatch, capsys):
+    import polyelast.analysis as analysis
+
+    splits = []
+    assemble_split = analysis.assemble_split
+
+    def spy(*args):
+        splits.append(args)
+        return assemble_split(*args)
+
+    monkeypatch.setattr(analysis, "assemble_split", spy)
+    code = main(["convergence", "--case", "example2", "--mesh-series", "tet:3,tet:2",
+                 "--lambda", "1"])
+    assert (code, len(splits)) == (1, 1)
+    assert capsys.readouterr().err == (
+        "error: h must decrease between refinement levels: "
+        "tet:2 (h=0.866025) follows tet:3 (h=0.57735)\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--mesh", "tet:12", "--lambda", "1", "--tol", "1.5"], "tol must be in (0,1)"),
+    (["solve", "--mesh", "no/such/file.poly", "--lambda", "1", "--max-iters", "0"],
+     "max_iterations must be >= 1"),
+    (["convergence", "--mesh-series", "tet:8", "--lambda", "1,1e3", "--tol", "0"],
+     "tol must be in (0,1)"),
+    (["convergence", "--mesh-series", "tet:2,no/such/file.poly", "--lambda", "1",
+      "--max-iters", "-5"], "max_iterations must be >= 1"),
+])
+def test_solver_flags_are_validated_before_any_mesh_is_built(argv, message, monkeypatch,
+                                                             capsys):
+    import polyelast.analysis as analysis
+
+    builds = []
+    monkeypatch.setattr(analysis, "generate_structured_mesh",
+                        lambda *args, **kwargs: builds.append(args))
+    monkeypatch.setattr(analysis, "parse_polymesh",
+                        lambda *args, **kwargs: builds.append(args))
+    code = main([argv[0], "--case", "example2", *argv[1:]])
+    assert (code, builds) == (1, [])
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--mesh", "tet:2"],
+    ["solve", "--case", "example2", "--mesh", "tet:2:0.3", "--lambda", "1"],
+    ["solve", "--case", "example2", "--mesh", "tet:1", "--lambda", "1"],
+    ["convergence", "--case", "example2", "--mesh-series", "tet:1,tet:2", "--lambda", "1"],
+])
+def test_negative_seed_is_a_flag_error(argv, monkeypatch, capsys):
+    import polyelast.analysis as analysis
+    from polyelast.cli import build_parser
+
+    builds = []
+    monkeypatch.setattr(analysis, "generate_structured_mesh",
+                        lambda *args, **kwargs: builds.append(args))
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--seed", "-3"])
+    assert (exit_info.value.code, builds) == (2, [])
+    assert capsys.readouterr().err.endswith(
+        "error: argument --seed: must be a nonnegative integer\n")
+    assert build_parser().parse_args([*argv, "--seed", "0"]).seed == 0

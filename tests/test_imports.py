@@ -33,3 +33,44 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """Private names (`_x`, not dunder) that `source` binds at module level:
+    functions, classes and assigned names."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def references(source: str) -> set[str]:
+    """Names that `source` reads: bare names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_the_guard_sees_an_orphan_private_name():
+    source = "_USED = 1\n_ORPHAN = 2\ndef _helper():\n    return _USED\n" \
+             "def _dead():\n    pass\nclass _Box:\n    pass\nx = _helper() + _Box\n"
+    assert private_definitions(source) - references(source) == {"_ORPHAN", "_dead"}
+
+
+def test_every_private_module_name_is_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in Path(polyelast.__file__).parent.glob("*.py")}
+    read = set().union(*map(references, sources.values()))
+    orphans = sorted(f"{module}:{name}" for module, source in sources.items()
+                     for name in private_definitions(source) - read)
+    assert orphans == []
