@@ -17,9 +17,9 @@ import csv
 import io
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .assembly import (
     dirichlet_lifting,
     reduce_lifted,
 )
-from .mesh import DEFAULT_SEED, Mesh, _integrals, generate_structured_mesh, parse_polymesh
+from .mesh import (DEFAULT_SEED, Mesh, _integrals, check_structured_spec,
+                   generate_structured_mesh, parse_polymesh)
 from .solver import SolverConfig, solve_spd
 from .space import (
     QUAD_DEGREE,
@@ -249,6 +250,7 @@ def _example2_parts(k: float, mu: float) -> tuple[ExactData, ExactData]:
 def manufactured_case(name: str, lam: float, mu: float = 1.0,
                       mu1: float | None = None) -> ManufacturedCase:
     """Build one of the benchmark cases at the given Lame coefficients."""
+    tagger = case_dirichlet_tagger(name)
     material = MaterialParams(mu=mu, lam=lam, mu1=mu1)
     if name == "example1":
         k = np.pi
@@ -269,7 +271,7 @@ def manufactured_case(name: str, lam: float, mu: float = 1.0,
             strain=lambda p: _symmetric_gradient(entry, _trig_parts(p, k)),
             divergence=lambda p: np.zeros(len(p)),
             body_force=force,
-            dirichlet_faces=_all_boundary,
+            dirichlet_faces=tagger,
         )
     if name in ("example2", "example3"):
         k = 2.0 * np.pi
@@ -299,7 +301,6 @@ def manufactured_case(name: str, lam: float, mu: float = 1.0,
             out += np.multiply((k * k / lam) * (2.0 * mu + lam), parts[0], out=parts[0])
             return out.T
 
-        tagger = _all_boundary if name == "example2" else _x0_plane_faces
         return ManufacturedCase(
             name, material,
             displacement=disp,
@@ -319,9 +320,8 @@ def manufactured_case(name: str, lam: float, mu: float = 1.0,
                                              (len(p), 3, 3)).copy(),
             divergence=lambda p: np.full(len(p), float(np.trace(AFFINE_MATRIX))),
             body_force=lambda p: np.zeros((len(p), 3)),
-            dirichlet_faces=_all_boundary,
+            dirichlet_faces=tagger,
         )
-    raise ValueError(f"unknown case {name!r}; expected one of {CASE_NAMES}")
 
 
 # -- norms and errors ----------------------------------------------------------
@@ -573,26 +573,26 @@ def _lambda_free_data(mesh: Mesh, dofmap: DofMap, tags: np.ndarray,
     return loads, interpolants, strain_gram(mesh, [part.strain for part in parts])
 
 
-def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
-                          lambdas: Sequence[float], *, mu: float = 1.0,
-                          mu1: float | None = None, bubbles: bool = True,
-                          solver_config: SolverConfig | None = None,
-                          seed: int = DEFAULT_SEED, csv_path: str | None = None,
-                          provenance: str | None = None) -> list[ConvergenceRecord]:
-    """Assemble/solve the case on every (mesh, lambda) pair and report
-    relative errors and observed rates.
+def study_rows(case_name: str, mesh_sources: Sequence[MeshSource],
+               lambdas: Sequence[float], *, mu: float = 1.0, mu1: float | None = None,
+               bubbles: bool = True, solver_config: SolverConfig | None = None,
+               seed: int = DEFAULT_SEED) -> Iterator[tuple[ConvergenceRecord, DiscreteFunction]]:
+    """Assemble/solve the case on every (mesh, lambda) pair, mesh by mesh, and
+    yield each pair's record (relative error, observed rate) with its solution.
 
     The matrix A0 + lambda*K is split once per mesh by `assemble_split`, into
     A0 and the divergence map D of K = D^T W D, and every lambda reduces the
     split at that lambda (see `reduce_system`).  The exact data are affine in
-    1/lambda (`ManufacturedCase.parts`), so the load and the interpolant of
-    each part and the strain products of the exact norm are computed once per
-    mesh, and every lambda combines them.  Every lambda takes its own
-    Dirichlet lifting, and its interpolant takes the lifting's constrained
-    entries, so that a mesh with no free DOF has a zero error.
-    Every lambda (and mu, mu1) is validated, and neither a lambda nor a mesh
-    may be listed twice, before the first mesh is built; each mesh's h must
-    be below the previous mesh's, which is checked before the mesh is split.
+    1/lambda (`ManufacturedCase.parts`), so with more than one lambda the load
+    and the interpolant of each part and the strain products of the exact
+    norm are computed once per mesh, and every lambda combines them; with one
+    lambda they are those of the case's own fields.  Every lambda takes its
+    own Dirichlet lifting, and its interpolant takes the lifting's
+    constrained entries, so that a mesh with no free DOF has a zero error.
+    Every lambda (and mu, mu1) and generated mesh is validated, and neither a
+    lambda nor a mesh may be listed twice, before the first mesh is built;
+    each mesh's h must be below the previous mesh's, which is checked before
+    the mesh is split.
     In the no-bubble ablation mode, rates are reported only for lambda < 1e3
     rows, where the error still behaves like a power of h.  A zero error (a
     mesh with no free DOF) has no rate to it or from it.
@@ -604,12 +604,14 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
         if lam in lambdas[:i]:
             raise ValueError(f"lambda {lam:g} is listed twice")
     labels = [source.label for source in mesh_sources]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ValueError(f"mesh {label} is listed twice")
+    for i, source in enumerate(mesh_sources):
+        if source.label in labels[:i]:
+            raise ValueError(f"mesh {source.label} is listed twice")
+        if source.kind != "file":
+            check_structured_spec(source.kind, source.n, source.perturb)
     if solver_config is None:
         solver_config = SolverConfig()
-    records: list[ConvergenceRecord] = []
+    parts = (cases[0] if len(cases) > 1 else replace(cases[0], lambda_parts=None)).parts
     previous: dict[float, tuple[float, float]] = {}
     coarser = None
     for source in mesh_sources:
@@ -627,7 +629,7 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
                     source.label, time.perf_counter() - start, split.full_a0.nnz,
                     split.full_divergence.nnz)
         start = time.perf_counter()
-        loads, interpolants, gram = _lambda_free_data(mesh, dofmap, tags, cases[0].parts)
+        loads, interpolants, gram = _lambda_free_data(mesh, dofmap, tags, parts)
         logger.info("%s: lambda-free exact data (%d parts) in %.2fs", source.label,
                     len(loads), time.perf_counter() - start)
         constrained = dofmap.constrained_indices
@@ -646,24 +648,27 @@ def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
             if err_prev > 0.0 and err > 0.0 and (bubbles or lam < 1e3):
                 rate = compute_rate(err_prev, h_prev, err, mesh.h)
             previous[lam] = (err, mesh.h)
-            record = ConvergenceRecord(
-                case=case_name,
-                mesh_kind=source.kind,
-                n=source.n,
-                h=float(mesh.h),
-                lam=float(lam),
-                mu=float(mu),
-                bubbles=bubbles,
-                n_dofs=int(dofmap.total_dofs),
-                error_rel=float(err),
-                rate=rate,
-                cg_iters=result.iterations,
-                seconds=seconds,
-            )
-            records.append(record)
             logger.info("%s %s lambda=%g: error=%.6e iters=%d (%.2fs)",
                         case_name, source.label, lam, err, result.iterations,
                         seconds)
+            yield ConvergenceRecord(
+                case=case_name, mesh_kind=source.kind, n=source.n, h=float(mesh.h),
+                lam=float(lam), mu=float(mu), bubbles=bubbles,
+                n_dofs=int(dofmap.total_dofs), error_rel=float(err), rate=rate,
+                cg_iters=result.iterations, seconds=seconds), result.function
+
+
+def run_convergence_study(case_name: str, mesh_sources: Sequence[MeshSource],
+                          lambdas: Sequence[float], *, mu: float = 1.0,
+                          mu1: float | None = None, bubbles: bool = True,
+                          solver_config: SolverConfig | None = None,
+                          seed: int = DEFAULT_SEED, csv_path: str | None = None,
+                          provenance: str | None = None) -> list[ConvergenceRecord]:
+    """The records of `study_rows`, also written as CSV to `csv_path` (with
+    the `provenance` line) where one is given."""
+    records = [record for record, _ in study_rows(
+        case_name, mesh_sources, lambdas, mu=mu, mu1=mu1, bubbles=bubbles,
+        solver_config=solver_config, seed=seed)]
     if csv_path is not None:
         text = format_records_csv(records, provenance)
         with open(csv_path, "w", encoding="utf-8") as fh:

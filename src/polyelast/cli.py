@@ -6,12 +6,11 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-import time
 
 import numpy as np
 
 from .analysis import (
-    ConvergenceRecord,
+    MeshSource,
     default_provenance,
     format_records_csv,
     korn_ratio,
@@ -19,8 +18,9 @@ from .analysis import (
     parse_mesh_source,
     relative_error,
     run_convergence_study,
+    study_rows,
 )
-from .assembly import AssemblyError, assemble
+from .assembly import AssemblyError, assemble, divergence_operator
 from .mesh import DEFAULT_SEED, MeshError, _integrals, validate_mesh
 from .solver import SolverConfig, SolverError, solve_spd
 from .space import (
@@ -114,6 +114,14 @@ def _parse_lambdas(text: str, parser: argparse.ArgumentParser) -> list[float]:
     return values
 
 
+def _mesh_sources(specs: list[str], parser: argparse.ArgumentParser) -> list[MeshSource]:
+    """The sources of the mesh specs `specs`; a malformed one is a usage error."""
+    try:
+        return [parse_mesh_source(s, i) for i, s in enumerate(specs)]
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _write_csv(text: str, path: str | None):
     """Write CSV `text` to `path`, or to stdout without one."""
     if path:
@@ -128,32 +136,17 @@ def _cmd_solve(args, parser) -> int:
     lambdas = _parse_lambdas(args.lambdas, parser)
     if len(lambdas) != 1:
         parser.error("solve expects exactly one --lambda value")
-    lam = lambdas[0]
-    case = manufactured_case(args.case, lam=lam, mu=args.mu, mu1=args.mu1)
-    source = parse_mesh_source(args.mesh)
-    mesh = source.build(seed=args.seed)
-    bcs = case.boundary_conditions(mesh)
-    dofmap = DofMap(mesh, bubbles_enabled=not args.no_bubbles,
-                    dirichlet_faces=bcs.dirichlet_faces)
-    start = time.perf_counter()
-    system = assemble(mesh, dofmap, case.material, bcs, case.body_force)
-    result = solve_spd(system, config)
-    reference = interpolate(mesh, dofmap, case.displacement)
-    err = relative_error(mesh, result.function, reference, case.strain)
-    seconds = time.perf_counter() - start
-    record = ConvergenceRecord(
-        case=args.case, mesh_kind=source.kind, n=source.n, h=float(mesh.h),
-        lam=lam, mu=args.mu, bubbles=not args.no_bubbles,
-        n_dofs=int(dofmap.total_dofs), error_rel=err, rate=None,
-        cg_iters=result.iterations, seconds=seconds,
-    )
-    provenance = default_provenance(args.case, [args.mesh], [lam],
+    [(record, solution)] = study_rows(
+        args.case, _mesh_sources([args.mesh], parser), lambdas, mu=args.mu, mu1=args.mu1,
+        bubbles=not args.no_bubbles, solver_config=config, seed=args.seed)
+    provenance = default_provenance(args.case, [args.mesh], lambdas,
                                     not args.no_bubbles, args.seed, config)
     _write_csv(format_records_csv([record], provenance), args.out)
     if args.vtk:
-        grad, mean = cell_fields(mesh, result.function.values)
+        mesh = solution.dofmap.mesh
+        grad, mean = cell_fields(mesh, solution.values)
         write_vtk(args.vtk, mesh,
-                  point_vectors={"displacement": result.function.vertex_values()},
+                  point_vectors={"displacement": solution.vertex_values()},
                   cell_scalars={"div_D": np.trace(grad, axis1=1, axis2=2),
                                 "displacement_magnitude": np.linalg.norm(mean, axis=1)})
     return 0
@@ -165,10 +158,7 @@ def _cmd_convergence(args, parser) -> int:
     specs = [s for s in args.mesh_series.split(",") if s.strip()]
     if not specs:
         parser.error("--mesh-series must list at least one mesh")
-    try:
-        sources = [parse_mesh_source(s, i) for i, s in enumerate(specs)]
-    except ValueError as exc:
-        parser.error(str(exc))
+    sources = _mesh_sources(specs, parser)
     provenance = default_provenance(args.case, specs, lambdas,
                                     not args.no_bubbles, args.seed, config)
     records = run_convergence_study(
@@ -206,8 +196,7 @@ def run_check_suite(mesh, seed: int = DEFAULT_SEED) -> list[tuple[str, bool, str
 
     ident = interpolate(mesh, dofmap, lambda p: p, AFFINE_QUAD_DEGREE)
     sinus = interpolate(mesh, dofmap, manufactured_case("example1", lam=1.0).displacement)
-    grad = cell_fields(mesh, np.column_stack([ident.values, sinus.values]))[0]
-    divergence = np.trace(grad, axis1=1, axis2=2)
+    divergence = divergence_operator(mesh) @ np.column_stack([ident.values, sinus.values])
     worst = np.abs(divergence[:, 0] - 3.0).max()
     worst2 = np.abs(divergence[:, 1]).max()
     ok = worst <= 1e-12 * 3.0 and worst2 <= 1e-10
@@ -243,8 +232,7 @@ def run_check_suite(mesh, seed: int = DEFAULT_SEED) -> list[tuple[str, bool, str
 
 
 def _cmd_check(args, parser) -> int:
-    source = parse_mesh_source(args.mesh)
-    mesh = source.build(seed=args.seed)
+    mesh = _mesh_sources([args.mesh], parser)[0].build(seed=args.seed)
     results = run_check_suite(mesh, seed=args.seed)
     all_ok = True
     for name, ok, detail in results:

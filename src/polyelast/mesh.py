@@ -526,6 +526,17 @@ class Mesh:
         return points, weights
 
 
+def _runs(sizes: np.ndarray, limit: int):
+    """(lo, hi) of the runs of consecutive entries of `sizes`, in order, that
+    sum to at most `limit`, or of one entry where it alone is larger."""
+    ends = np.concatenate([[0], np.cumsum(sizes)])
+    lo = 0
+    while lo < len(sizes):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + limit, "right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
 def _integrals(mesh: Mesh, kind: str, degree: int, integrand: Callable,
                ids=None) -> np.ndarray:
     """Integral over every face (`kind` "face") or cell (`kind` "cell") of
@@ -539,10 +550,8 @@ def _integrals(mesh: Mesh, kind: str, degree: int, integrand: Callable,
     else:
         rule, simplices, ref = mesh.batched_cell_quadrature, mesh._cell_tri_offsets, tet_rule
     ids = np.arange(len(simplices) - 1) if ids is None else np.asarray(ids, dtype=int)
-    ends = len(ref(degree)[1]) * np.concatenate([[0], np.cumsum(np.diff(simplices)[ids])])
-    parts, lo = [], 0
-    while lo < len(ids):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _CHUNK_POINTS, "right")) - 1)
+    parts = []
+    for lo, hi in _runs(len(ref(degree)[1]) * np.diff(simplices)[ids], _CHUNK_POINTS):
         points, weights, offsets = rule(degree, ids[lo:hi])
         values = np.asarray(integrand(points, lo + _owner(offsets)), dtype=float)
         # C order, as the stacked product below rounds by the layout of its operand
@@ -557,7 +566,6 @@ def _integrals(mesh: Mesh, kind: str, degree: int, integrand: Callable,
                 w, f = weights[entries], flat[entries]
             sums[rows] = (w[:, None, :] @ f)[:, 0]
         parts.append(sums.reshape((hi - lo,) + values.shape[1:]))
-        lo = hi
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -707,18 +715,21 @@ def generate_structured_mesh(kind: str, n: int, perturb: float = 0.0,
     meshes, perturb>0 jitters every interior vertex componentwise by a
     uniform offset in (-d, d) with d = perturb/(2n), using the given seed.
     """
+    check_structured_spec(kind, n, perturb)
+    return _generate_hex(n) if kind == "hex" else _generate_tet(n, perturb, seed)
+
+
+def check_structured_spec(kind: str, n: int, perturb: float = 0.0):
+    """Raise ValueError unless `generate_structured_mesh` takes these values."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= perturb < 1.0:
         raise ValueError("perturb must be in [0,1)")
-    if kind == "hex":
-        if perturb > 0.0:
-            raise ValueError("perturb is only supported for tet meshes "
-                             "(hex faces must stay planar)")
-        return _generate_hex(n)
-    if kind == "tet":
-        return _generate_tet(n, perturb, seed)
-    raise ValueError(f"unknown mesh kind {kind!r}")
+    if kind == "hex" and perturb > 0.0:
+        raise ValueError("perturb is only supported for tet meshes "
+                         "(hex faces must stay planar)")
+    if kind not in ("hex", "tet"):
+        raise ValueError(f"unknown mesh kind {kind!r}")
 
 
 def _grid_positions(n: int) -> np.ndarray:

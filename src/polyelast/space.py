@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, _integrals, row_entries
+from .mesh import Mesh, _integrals, _runs, row_entries
 
 # space dimension is fixed to 3; the stabilization scales with h_K**(DIM - 2)
 DIM = 3
@@ -336,12 +336,8 @@ def operator_chunks(mesh: Mesh):
     where it alone has more), so that the memory the operators and their
     products take does not grow with the mesh."""
     n_loc = 3 * np.diff(mesh.cell_vertex_offsets) + np.diff(mesh.cell_face_offsets)
-    ends = np.concatenate([[0], np.cumsum(n_loc**2)])
-    lo = 0
-    while lo < mesh.n_cells:
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _CHUNK_ENTRIES, "right")) - 1)
+    for lo, hi in _runs(n_loc**2, _CHUNK_ENTRIES):
         yield ReconstructionOperators(mesh, np.arange(lo, hi))
-        lo = hi
 
 
 def cell_fields(mesh: Mesh, values: np.ndarray, stabilization: bool = False):
