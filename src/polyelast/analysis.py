@@ -8,7 +8,15 @@ the quasi-incompressible limit), and `example3` reuses the example2 fields
 with a Dirichlet/Neumann split (Dirichlet on the x=0 side, exact tractions
 elsewhere).  The extra `affine` case drives patch tests.  Body forces were
 derived analytically from -div(sigma(u)) and are cross-checked against a
-finite-difference oracle in the test suite.
+finite-difference oracle in the test suite.  The example2/example3 data are
+affine in t = 1/lambda; their two parts are given along a trailing axis of
+every field (`ManufacturedCase.parts`), from one sin/cos table per call.
+
+The errors and norms take the cell fields in closed form
+(`space.cell_fields`).  The study (`study_rows`) does per mesh what does not
+depend on lambda (the split, the loads, interpolants and strain products of
+both parts) and per lambda only the combination, the lifting, the solve
+(from the earlier solutions of the mesh, extrapolated in t) and the error.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ def _trig_parts(points: np.ndarray, k: float):
     """sin and cos of k times every coordinate of the (n, 3) `points`, as two
     (3, n) arrays."""
     angles = np.multiply(points.T, k, order="C")
-    return np.sin(angles), np.cos(angles)
+    return np.sin(angles), np.cos(angles, out=angles)
 
 
 def _product(out: np.ndarray, first, *factors) -> np.ndarray:
@@ -71,10 +79,11 @@ def _product(out: np.ndarray, first, *factors) -> np.ndarray:
     return out
 
 
-def _field_a(parts: tuple) -> np.ndarray:
-    """The solenoidal field (-2 sx cy cz, cx sy cz, cx cy sz) as a (3, n) array."""
+def _field_a(parts: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """The solenoidal field (-2 sx cy cz, cx sy cz, cx cy sz) as a (3, n)
+    array, written to `out` where given."""
     (sx, sy, sz), (cx, cy, cz) = parts
-    out = np.empty((3, len(sx)))
+    out = np.empty((3, len(sx))) if out is None else out
     _product(out[0], -2.0, sx, cy, cz)
     _product(out[1], cx, sy, cz)
     _product(out[2], cx, cy, sz)
@@ -103,10 +112,12 @@ def _gradient(entry: Callable, parts: tuple) -> np.ndarray:
     return g.transpose(2, 0, 1)
 
 
-def _symmetric_gradient(entry: Callable, parts: tuple) -> np.ndarray:
+def _symmetric_gradient(entry: Callable, parts: tuple,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """The (n, 3, 3) strain 0.5 (g + g^T) of the gradient g whose entries
-    `entry` writes, from its six distinct entries."""
-    out = np.empty((3, 3, parts[0].shape[1]))
+    `entry` writes, from its six distinct entries, written to the (3, 3, n)
+    `out` where given."""
+    out = np.empty((3, 3, parts[0].shape[1])) if out is None else out
     other = np.empty(out.shape[2])
     for i in range(3):
         for j in range(i, 3):
@@ -149,8 +160,9 @@ class ManufacturedCase:
     """Exact solution bundle for one benchmark case at fixed material values.
 
     `lambda_parts`, where the case has them (example2, example3), are the
-    lambda-free coefficients (t^0, t^1) of its exact data in t = 1/lambda:
-    each field is the t^0 part plus the t^1 part divided by lambda."""
+    lambda-free coefficients (t^0, t^1) of its exact data in t = 1/lambda,
+    along a trailing axis of every field: each field is the t^0 part plus
+    the t^1 part divided by lambda."""
 
     name: str
     material: MaterialParams
@@ -160,18 +172,20 @@ class ManufacturedCase:
     divergence: Callable
     body_force: Callable
     dirichlet_faces: Callable  # Mesh -> bool mask over faces
-    lambda_parts: tuple[ExactData, ExactData] | None = None
+    lambda_parts: ExactData | None = None
 
     @property
-    def parts(self) -> tuple[ExactData, ...]:
-        """The exact data as coefficients of t = 1/lambda: `lambda_parts`, or
-        the case's own fields as the one t^0 part.  The parts of example1,
-        example2 and example3 do not depend on lambda; the traction of
-        `affine` carries lambda * tr(A) * n, and is read only on Neumann
-        faces, of which `affine` has none."""
+    def parts(self) -> ExactData:
+        """The exact data as coefficients of t = 1/lambda, along a trailing
+        axis of every field: `lambda_parts`, or the case's own fields as the
+        one t^0 part.  The parts of example1, example2 and example3 do not
+        depend on lambda; the traction of `affine` carries lambda * tr(A) * n,
+        and is read only on Neumann faces, of which `affine` has none."""
         if self.lambda_parts is not None:
             return self.lambda_parts
-        return (ExactData(self.displacement, self.strain, self.body_force, self.traction),)
+        return ExactData(*(lambda p, fn=fn: fn(p)[..., None]
+                           for fn in (self.displacement, self.strain, self.body_force)),
+                         traction=lambda p, normal: self.traction(p, normal)[..., None])
 
     def stress_field(self, points: np.ndarray) -> np.ndarray:
         return _stress(2.0 * self.material.mu, self.strain(points),
@@ -208,43 +222,62 @@ def case_dirichlet_tagger(name: str) -> Callable:
     raise ValueError(f"unknown case {name!r}; expected one of {CASE_NAMES}")
 
 
-def _example2_parts(k: float, mu: float) -> tuple[ExactData, ExactData]:
+def _example2_parts(k: float, mu: float) -> ExactData:
     """The t^0 and t^1 parts of the example2/example3 data in t = 1/lambda,
+    along a trailing axis of every field, from one sin/cos table per call,
     for u = a + s/lambda with the solenoidal a of `_field_a` and
     s = (sin kx, sin ky, sin kz): the strains eps(a) and eps(s); the body
     forces 3k^2 mu a + k^2 s and 2 mu k^2 s; the tractions
     (2 mu eps(a) + div(s) I) n and 2 mu eps(s) n, since lambda div(u) = div(s)."""
 
-    def sines(points):
-        return np.sin(np.multiply(points.T, k, order="C"))
+    # each field is written part by part, contiguous in the points, and
+    # returned as a view with the trailing part axis
 
-    def strain_a(points):
-        return _symmetric_gradient(lambda parts, i, j, out: _grad_a_entry(parts, k, i, j, out),
-                                   _trig_parts(points, k))
+    def strain_of(parts):
+        """eps(a), from the four distinct products of its gradient (see
+        `_GRAD_A`: (k sx) sy cz and so on, times powers of two, so that it
+        rounds as `_symmetric_gradient` does), and eps(s), whose diagonal
+        is k cos(k x_i)."""
+        (sx, sy, sz), (cx, cy, cz) = parts
+        out = np.empty((2, 3, 3, len(sx)))
+        eps_a, eps_s = out
+        for (i, j), scale, factors in (((0, 1), 0.5, (sx, sy, cz)), ((0, 2), 0.5, (sx, cy, sz)),
+                                       ((1, 2), -1.0, (cx, sy, sz))):
+            np.multiply(_product(eps_a[j, i], k, *factors), scale, out=eps_a[i, j])
+            eps_a[j, i] = eps_a[i, j]
+        _product(eps_a[1, 1], k, cx, cy, cz)
+        eps_a[2, 2] = eps_a[1, 1]
+        np.multiply(eps_a[1, 1], -2.0, out=eps_a[0, 0])
+        eps_s.fill(0.0)
+        for i in range(3):
+            np.multiply(k, parts[1][i], out=eps_s[i, i])
+        return out.transpose(3, 1, 2, 0)
 
-    def strain_s(points):  # diagonal: k cos(k x_i)
-        out = np.zeros((3, 3, len(points)))
-        out[[0, 1, 2], [0, 1, 2]] = k * np.cos(np.multiply(points.T, k, order="C"))
-        return out.transpose(2, 0, 1)
+    def displacement(points):
+        parts = _trig_parts(points, k)
+        out = np.empty((2, 3, len(points)))
+        _field_a(parts, out=out[0])
+        out[1] = parts[0]
+        return out.transpose(2, 1, 0)
 
-    def force_a(points):
+    def force(points):
         sin, cos = _trig_parts(points, k)
-        out = _field_a((sin, cos))
-        out *= 3.0 * k * k * mu
-        out += np.multiply(k * k, sin, out=sin)
-        return out.T
+        out = np.empty((2, 3, len(points)))
+        np.multiply(2.0 * mu * k * k, sin, out=out[1])
+        force_a = _field_a((sin, cos), out=out[0])
+        force_a *= 3.0 * k * k * mu
+        force_a += np.multiply(k * k, sin, out=sin)
+        return out.transpose(2, 1, 0)
 
-    def traction_a(points, normal):
-        cos = np.cos(np.multiply(points.T, k, order="C"))
-        return _traction(_stress(2.0 * mu, strain_a(points), k * (cos[0] + cos[1] + cos[2])),
-                         normal)
+    def traction(points, normal):
+        parts = _trig_parts(points, k)
+        cos, eps = parts[1], strain_of(parts)
+        return np.stack([_traction(_stress(2.0 * mu, eps[..., 0], k * (cos[0] + cos[1] + cos[2])),
+                                   normal),
+                         _traction((2.0 * mu) * eps[..., 1], normal)], axis=-1)
 
-    return (ExactData(displacement=lambda p: _field_a(_trig_parts(p, k)).T,
-                      strain=strain_a, body_force=force_a, traction=traction_a),
-            ExactData(displacement=lambda p: sines(p).T,
-                      strain=strain_s,
-                      body_force=lambda p: (2.0 * mu * k * k) * sines(p).T,
-                      traction=lambda p, normal: _traction((2.0 * mu) * strain_s(p), normal)))
+    return ExactData(displacement=displacement, strain=lambda p: strain_of(_trig_parts(p, k)),
+                     body_force=force, traction=traction)
 
 
 def manufactured_case(name: str, lam: float, mu: float = 1.0,
@@ -362,37 +395,44 @@ def discrete_norms(mesh: Mesh, func: DiscreteFunction,
 
 def exact_strain_norm(mesh: Mesh, strain_fn: Callable) -> float:
     """L2 norm of an exact strain field over the mesh, by cell quadrature."""
-    return float(np.sqrt(strain_gram(mesh, [strain_fn])[0, 0]))
+    return float(np.sqrt(strain_gram(mesh, strain_fn)[0, 0]))
 
 
-def strain_gram(mesh: Mesh, strain_fns: Sequence[Callable]) -> np.ndarray:
-    """The L2 inner products (eps_i, eps_j) of exact strain fields over the
-    mesh, as a symmetric matrix, from one pass of cell quadrature."""
-    pairs = [(i, j) for i in range(len(strain_fns)) for j in range(i, len(strain_fns))]
+def strain_gram(mesh: Mesh, strain: Callable) -> np.ndarray:
+    """The L2 inner products (eps_i, eps_j) of the exact strain fields along
+    the trailing axis of `strain` (n, 3, 3[, s]), as a symmetric (s, s)
+    matrix, from one pass of cell quadrature."""
+    pairs = []
 
     def products(points, at):
-        strains = [fn(points).reshape(len(points), 9) for fn in strain_fns]
+        strains = np.asarray(strain(points), dtype=float)
+        # one (n, 9) block per part, a view of the component-major fields
+        strains = np.moveaxis(strains.reshape(strains.shape[:3] + (-1,)), 3, 0)
+        strains = strains.reshape(len(strains), len(points), 9)
+        pairs[:] = [(i, j) for i in range(len(strains)) for j in range(i, len(strains))]
         return np.column_stack([np.einsum("pk,pk->p", strains[i], strains[j])
                                 for i, j in pairs])
 
     sums = _integrals(mesh, "cell", QUAD_DEGREE, products).sum(axis=0)
-    gram = np.empty((len(strain_fns), len(strain_fns)))
+    size = pairs[-1][1] + 1 if pairs else 1
+    gram = np.zeros((size, size))
     for (i, j), value in zip(pairs, sums):
         gram[i, j] = gram[j, i] = value
     return gram
 
 
-def at_lambda(parts: Sequence, lam: float):
-    """parts[0] + parts[1] / lam, or a copy of parts[0] where it is the only
-    part: a field given by its coefficients in t = 1/lambda."""
-    if len(parts) == 1:
-        return np.array(parts[0], copy=True)
-    return parts[0] + np.divide(parts[1], lam)
+def at_lambda(parts: np.ndarray, lam: float) -> np.ndarray:
+    """parts[..., 0] + parts[..., 1] / lam, or a copy of parts[..., 0] where
+    it is the only part: a field given by its coefficients in t = 1/lambda
+    along the trailing axis."""
+    if parts.shape[-1] == 1:
+        return parts[..., 0].copy()
+    return parts[..., 0] + np.divide(parts[..., 1], lam)
 
 
 def norm_at_lambda(gram: np.ndarray, lam: float) -> float:
-    """The L2 norm of the strain parts[0] + parts[1] / lam, from the
-    `strain_gram` of its parts."""
+    """The L2 norm of the strain parts[..., 0] + parts[..., 1] / lam, from
+    the `strain_gram` of its parts."""
     if len(gram) == 1:
         return float(np.sqrt(gram[0, 0]))
     return float(np.sqrt(gram[0, 0] + (2.0 * gram[0, 1] + gram[1, 1] / lam) / lam))
@@ -492,6 +532,14 @@ class MeshSource:
             return f"{self.kind}:{self.n}:{self.perturb:g}"
         return f"{self.kind}:{self.n}"
 
+    def check(self):
+        """Raise unless the mesh can be built: for a generated mesh, if its
+        spec is out of range; for a file, if it cannot be opened."""
+        if self.kind == "file":
+            open(self.path, "rb").close()
+        else:
+            check_structured_spec(self.kind, self.n, self.perturb)
+
     def build(self, seed: int = DEFAULT_SEED) -> Mesh:
         if self.kind == "file":
             with open(self.path, "r", encoding="utf-8") as fh:
@@ -562,15 +610,25 @@ def format_records_csv(records: Sequence[ConvergenceRecord],
     return out.getvalue()
 
 
-def _lambda_free_data(mesh: Mesh, dofmap: DofMap, tags: np.ndarray,
-                      parts: Sequence[ExactData]):
-    """Per part of the exact data, its load and its interpolant, and the
-    `strain_gram` of the parts' strains: what a study needs of the exact
-    data on one mesh, for every lambda."""
-    loads = [assemble_load(mesh, dofmap, BoundaryConditions(tags, neumann_data=part.traction),
-                           part.body_force) for part in parts]
-    interpolants = [interpolate(mesh, dofmap, part.displacement).values for part in parts]
-    return loads, interpolants, strain_gram(mesh, [part.strain for part in parts])
+def _lambda_free_data(mesh: Mesh, dofmap: DofMap, tags: np.ndarray, parts: ExactData):
+    """The load (N, s) and the interpolant (N, s) of the parts of the exact
+    data, one column per part, and the `strain_gram` of their strains: what
+    a study needs of the exact data on one mesh, for every lambda, from one
+    pass of each."""
+    load = assemble_load(mesh, dofmap, BoundaryConditions(tags, neumann_data=parts.traction),
+                         parts.body_force)
+    interpolant = interpolate(mesh, dofmap, parts.displacement).values
+    return load, interpolant, strain_gram(mesh, parts.strain)
+
+
+def _warm_start(solved: Sequence[tuple[float, np.ndarray]], t: float):
+    """A start for the mixed solve at t = 1/lambda: linear in t through the
+    last two (t, `SolveResult.mixed`) of `solved`, the last one alone, or
+    none before the first."""
+    if len(solved) < 2:
+        return solved[-1][1] if solved else None
+    (t_1, x_1), (t_2, x_2) = solved[-2:]
+    return x_2 + ((t - t_2) / (t_2 - t_1)) * (x_2 - x_1)
 
 
 def study_rows(case_name: str, mesh_sources: Sequence[MeshSource],
@@ -584,15 +642,19 @@ def study_rows(case_name: str, mesh_sources: Sequence[MeshSource],
     A0 and the divergence map D of K = D^T W D, and every lambda reduces the
     split at that lambda (see `reduce_system`).  The exact data are affine in
     1/lambda (`ManufacturedCase.parts`), so with more than one lambda the load
-    and the interpolant of each part and the strain products of the exact
-    norm are computed once per mesh, and every lambda combines them; with one
+    and the interpolant of both parts and their strain products are computed
+    once per mesh, in one pass each, and every lambda combines them; with one
     lambda they are those of the case's own fields.  Every lambda takes its
     own Dirichlet lifting, and its interpolant takes the lifting's
     constrained entries, so that a mesh with no free DOF has a zero error.
-    Every lambda (and mu, mu1) and generated mesh is validated, and neither a
-    lambda nor a mesh may be listed twice, before the first mesh is built;
-    each mesh's h must be below the previous mesh's, which is checked before
-    the mesh is split.
+    The discrete solution is smooth in t = 1/lambda, so each MINRES solve
+    of a mesh after its first starts from the earlier solutions, extrapolated
+    linearly in t (`_warm_start`; used only where its residual is below that
+    of zero); a row's `cg_iters` counts the steps from that start.
+    Every lambda (and mu, mu1) and generated mesh is validated, every mesh
+    file is opened (`MeshSource.check`), and neither a lambda nor a mesh may
+    be listed twice, before the first mesh is built; each mesh's h must be
+    below the previous mesh's, which is checked before the mesh is split.
     In the no-bubble ablation mode, rates are reported only for lambda < 1e3
     rows, where the error still behaves like a power of h.  A zero error (a
     mesh with no free DOF) has no rate to it or from it.
@@ -607,8 +669,8 @@ def study_rows(case_name: str, mesh_sources: Sequence[MeshSource],
     for i, source in enumerate(mesh_sources):
         if source.label in labels[:i]:
             raise ValueError(f"mesh {source.label} is listed twice")
-        if source.kind != "file":
-            check_structured_spec(source.kind, source.n, source.perturb)
+    for source in mesh_sources:
+        source.check()
     if solver_config is None:
         solver_config = SolverConfig()
     parts = (cases[0] if len(cases) > 1 else replace(cases[0], lambda_parts=None)).parts
@@ -629,16 +691,20 @@ def study_rows(case_name: str, mesh_sources: Sequence[MeshSource],
                     source.label, time.perf_counter() - start, split.full_a0.nnz,
                     split.full_divergence.nnz)
         start = time.perf_counter()
-        loads, interpolants, gram = _lambda_free_data(mesh, dofmap, tags, parts)
+        load, interpolant, gram = _lambda_free_data(mesh, dofmap, tags, parts)
         logger.info("%s: lambda-free exact data (%d parts) in %.2fs", source.label,
-                    len(loads), time.perf_counter() - start)
+                    load.shape[-1], time.perf_counter() - start)
         constrained = dofmap.constrained_indices
+        solved = []  # (t, mixed solution) of this mesh, for the warm starts
         for lam, case in zip(lambdas, cases):
             start = time.perf_counter()
             lifting = dirichlet_lifting(mesh, dofmap, case.boundary_conditions(mesh))
-            system = reduce_lifted(split.at(lam), at_lambda(loads, lam), lifting, dofmap)
-            result = solve_spd(system, solver_config)
-            reference = at_lambda(interpolants, lam)
+            system = reduce_lifted(split.at(lam), at_lambda(load, lam), lifting, dofmap)
+            guess = _warm_start(solved, 1.0 / lam) if system.split is not None else None
+            result = solve_spd(system, solver_config, start=guess)
+            if result.mixed is not None:
+                solved.append((1.0 / lam, result.mixed))
+            reference = at_lambda(interpolant, lam)
             reference[constrained] = lifting[constrained]
             err = relative_error(mesh, result.function, DiscreteFunction(dofmap, reference),
                                  norm_at_lambda(gram, lam))

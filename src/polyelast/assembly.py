@@ -10,8 +10,9 @@ gradient G, the divergence theorem over the face traces, its symmetric part
 Gs, the vertex fit F, the cell volumes W and the h_K scalings H and H_b,
 summed over the chunks of cells of `operator_chunks`; D is the trace of G.
 The volume load acts through the piecewise-constant displacement
-reconstruction M, so each cell vertex receives its convex weight times the
-cell integral of the force and bubbles receive no volume load.  Dirichlet
+reconstruction M (`cell_mean_operator`), so each cell vertex receives its
+convex weight times the cell integral of the force and bubbles receive no
+volume load; a force with a trailing axis gives one load per column.  Dirichlet
 values are imposed by lifting: constrained DOFs are filled from the boundary
 data (vertex point values, interpolator bubble moments) and eliminated from
 the reduced system.
@@ -23,7 +24,8 @@ From the split at one lambda, `reduce_system` alone chooses the reduced system:
 with bubbles and lambda > 0 the split with its lambda-free loads, on whose
 mixed system [A0, D^T W; W D, -W/lambda] the solver works, so that
 A0 + lambda*K is formed only where it is read; the penalty matrix
-A0 + lambda*K in the no-bubble ablation; and A0 itself at lambda = 0.
+A0_ff + lambda*K_ff in the no-bubble ablation, from free-free blocks formed
+once for the split; and A0_ff itself at lambda = 0.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ from .space import (
     DofMap,
     MaterialParams,
     ReconstructionOperators,
+    cell_face_balance,
+    cell_mean_operator,
+    cell_runs,
     face_bubble_moments,
     local_dofs,
     operator_chunks,
@@ -131,14 +136,34 @@ class LambdaSplit:
 
     @property
     def a0(self) -> sp.csr_matrix:
-        """A0_ff, the leading block of `mixed`."""
-        n = len(self.free)
-        return self.mixed[:n, :n]
+        """A0_ff: the leading block of `mixed` where that is formed (the
+        solver's), otherwise a block of its own (the no-bubble ablation's)."""
+        if "mixed" in self._formed:
+            n = len(self.free)
+            return self.mixed[:n, :n]
+        return self._once("a0", lambda: self.full_a0[self.free][:, self.free].tocsr())
 
     def penalty_matrix(self, full: bool = False) -> sp.csr_matrix:
-        """A0 + lam * D^T W D, on the free DOFs or (`full`) unconstrained."""
+        """A0 + lam * D^T W D, on the free DOFs (A0_ff + lam * K_ff, from
+        blocks formed once for the split) or (`full`) unconstrained."""
         a0, d = (self.full_a0, self.full_divergence) if full else (self.a0, self.divergence)
+        if self.lam == 0:
+            return a0
         k = self._once(("k", full), lambda: d.T @ sp.diags(self.volume) @ d)
+        return (a0 + self.lam * k).tocsr()
+
+    def coupling(self) -> sp.csr_matrix:
+        """A0 + lam * D^T W D on the free rows and the constrained columns,
+        which carries the lifting into the load, from blocks formed once for
+        the split; each entry and each row sum rounds as in the unconstrained
+        matrix."""
+        constrained = self._once("constrained", lambda: np.setdiff1d(
+            np.arange(self.full_a0.shape[1]), self.free))
+        a0 = self._once("a0_fc", lambda: self.full_a0[self.free][:, constrained].tocsr())
+        if self.lam == 0:
+            return a0
+        k = self._once("k_fc", lambda: self.divergence.T @ sp.diags(self.volume)
+                       @ self.full_divergence[:, constrained])
         return (a0 + self.lam * k).tocsr()
 
 
@@ -148,17 +173,19 @@ class SparseSystem:
     `matrix` is the free-free block in CSR form, `load` the reduced right-hand
     side, `lifting` the full-length vector holding the Dirichlet DOF values.
     `full_matrix` keeps the unconstrained operator for energy checks and for
-    recovering reduced right-hand sides.  A system with a `split` (a
-    `LambdaSplit` carrying its loads) may be given no matrices: they are
-    formed from the split when first read.
+    recovering reduced right-hand sides.  A system reduced from a
+    `LambdaSplit` (`source`) may be given no matrices: they are formed from
+    the split when first read.  `split` is that split with its loads where
+    the system is solved on the mixed form.
     """
 
     def __init__(self, matrix: sp.csr_matrix | None, load: np.ndarray,
                  lifting: np.ndarray, free_indices: np.ndarray,
                  constrained_indices: np.ndarray, dofmap: DofMap,
                  full_matrix: sp.csr_matrix | None, full_load: np.ndarray,
-                 split: LambdaSplit | None = None):
-        if split is None and (matrix is None or full_matrix is None):
+                 split: LambdaSplit | None = None, source: LambdaSplit | None = None):
+        self._source = split if source is None else source
+        if self._source is None and (matrix is None or full_matrix is None):
             raise AssemblyError("a system without a split needs its matrices")
         if matrix is not None:
             self.matrix = matrix
@@ -174,11 +201,11 @@ class SparseSystem:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        return self.split.penalty_matrix()
+        return self._source.penalty_matrix()
 
     @cached_property
     def full_matrix(self) -> sp.csr_matrix:
-        return self.split.penalty_matrix(full=True)
+        return self._source.penalty_matrix(full=True)
 
     @property
     def n_free(self) -> int:
@@ -211,14 +238,6 @@ def assemble_matrix(mesh: Mesh, dofmap: DofMap,
     return sum(reversed(partial[:-1]), start=partial[-1]).tocsr()
 
 
-def _volume_load(ops: ReconstructionOperators, body_force: Callable) -> np.ndarray:
-    """M^T (cell integrals of the force): each vertex receives its convex
-    weight times the cell integral; bubbles receive zero."""
-    integrals = _integrals(ops.mesh, "cell", QUAD_DEGREE,
-                           lambda points, at: body_force(points), ops.cells)
-    return ops.mean.T @ integrals.ravel()
-
-
 def local_matrix(mesh: Mesh, cid: int, material: MaterialParams,
                  dofmap: DofMap) -> np.ndarray:
     """Local stiffness + stabilization matrix over the cell DOFs."""
@@ -234,7 +253,8 @@ def local_load(mesh: Mesh, cid: int, body_force: Callable | None) -> np.ndarray:
     if body_force is None:
         return np.zeros(len(dofs))
     ops = ReconstructionOperators(mesh, [cid])
-    return _volume_load(ops, body_force)[np.searchsorted(ops.dofs, dofs)]
+    integral = _integrals(mesh, "cell", QUAD_DEGREE, lambda points, at: body_force(points), [cid])
+    return (ops.mean.T @ integral.ravel())[np.searchsorted(ops.dofs, dofs)]
 
 
 def local_system(mesh: Mesh, cid: int, material: MaterialParams, dofmap: DofMap,
@@ -245,31 +265,35 @@ def local_system(mesh: Mesh, cid: int, material: MaterialParams, dofmap: DofMap,
 
 def _neumann_loads(mesh: Mesh, faces: np.ndarray, traction: Callable, dofmap: DofMap):
     """Surface-load contributions of the boundary faces `faces`: the vertex
-    DOFs of their loops, face by face, then their bubbles, with the values."""
+    DOFs of their loops, face by face, then their bubbles, with the values,
+    (m, s) for a traction with a trailing axis, (n, 3, s)."""
     normal = mesh.face_normal[faces]
     outward = mesh.face_cell_signs[faces, :1] * normal
     centroid = mesh.face_centroid[faces]
 
     def moments(points, at):
         g = np.asarray(traction(points, outward[at]), dtype=float)
-        return g[:, :, None] * np.column_stack([np.ones(len(points)),
-                                                points - centroid[at]])[:, None, :]
+        lever = np.column_stack([np.ones(len(points)), points - centroid[at]])
+        return g[:, :, None] * lever.reshape((len(points), 1, 4) + (1,) * (g.ndim - 2))
 
     # per face the integral of g and G = int g tensor (x - centroid)
-    integrals = _integrals(mesh, "face", QUAD_DEGREE, moments, faces)
-    g_total, g_moment = integrals[:, :, 0], integrals[:, :, 1:]
-    # int g . (grad_sigma v)(x - centroid) = G : grad_sigma v, and grad_sigma
-    # gives each edge's two endpoints |e| / (2 |f|) times its outward normal
+    integrals = _integrals(mesh, "face", QUAD_DEGREE, moments, faces, rank=2)
     loop, face = row_entries(mesh.face_loop_offsets, faces)
-    edge = ((mesh._edge_lengths[loop] / (2.0 * mesh.face_area[faces][face]))[:, None]
-            * np.einsum("eij,ej->ei", g_moment[face], mesh._edge_normals[loop]))
-    vertex_loads = mesh._face_weights[loop, None] * g_total[face] + edge
-    vertex_loads[np.arange(len(loop)) + mesh._loop_next[loop] - loop] += edge
     vertices = mesh.face_loop_vertices[loop]
     dofs = np.concatenate([(3 * vertices[:, None] + np.arange(3)).ravel(),
                            dofmap.n_vertex_dofs + faces])
-    values = np.concatenate([vertex_loads.ravel(), np.einsum("fi,fi->f", g_total, normal)])
-    return dofs, values
+    columns = []
+    for column in np.moveaxis(integrals.reshape(len(faces), 3, 4, -1), 3, 0):
+        g_total, g_moment = column[:, :, 0], column[:, :, 1:]
+        # int g . (grad_sigma v)(x - centroid) = G : grad_sigma v, and grad_sigma
+        # gives each edge's two endpoints |e| / (2 |f|) times its outward normal
+        edge = ((mesh._edge_lengths[loop] / (2.0 * mesh.face_area[faces][face]))[:, None]
+                * np.einsum("eij,ej->ei", g_moment[face], mesh._edge_normals[loop]))
+        vertex_loads = mesh._face_weights[loop, None] * g_total[face] + edge
+        vertex_loads[np.arange(len(loop)) + mesh._loop_next[loop] - loop] += edge
+        columns.append(np.concatenate([vertex_loads.ravel(),
+                                       np.einsum("fi,fi->f", g_total, normal)]))
+    return dofs, np.stack(columns, axis=-1).reshape((len(dofs),) + integrals.shape[3:])
 
 
 def neumann_load(mesh: Mesh, fid: int, traction: Callable, dofmap: DofMap):
@@ -306,24 +330,35 @@ def divergence_operator(mesh: Mesh) -> sp.csr_matrix:
     flux = sp.csr_matrix(
         (data, indices, 3 * mesh.face_loop_offsets + np.arange(mesh.n_faces + 1)),
         shape=(mesh.n_faces, 3 * mesh.n_vertices + mesh.n_faces))
-    signs = sp.csr_matrix(
-        (mesh.cell_face_signs / np.repeat(mesh.cell_volume, np.diff(mesh.cell_face_offsets)),
-         mesh.cell_face_ids, mesh.cell_face_offsets), shape=(mesh.n_cells, mesh.n_faces))
-    return signs @ flux
+    return cell_face_balance(mesh) @ flux
 
 
 def assemble_load(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions,
                   body_force: Callable | None) -> np.ndarray:
-    """Unconstrained load vector: volume force plus Neumann surface loads."""
-    load = np.zeros(dofmap.vector_size)
+    """Unconstrained load vector: volume force plus Neumann surface loads.
+    The volume load is M^T (cell integrals of the force), M the
+    `cell_mean_operator`, summed over the `cell_runs` as the matrix is: each
+    vertex receives its convex weight times the cell integral, and bubbles
+    receive zero.  Fields with a trailing axis, (n, 3, s), give one load per
+    column, (N, s), each as it would be alone."""
+    loads = np.zeros(dofmap.vector_size)
     if body_force is not None:
-        for ops in operator_chunks(mesh):
-            load[ops.dofs] += _volume_load(ops, body_force)
+        integrals = _integrals(mesh, "cell", QUAD_DEGREE, lambda points, at: body_force(points),
+                               rank=1)
+        tail, mean = integrals.shape[2:], cell_mean_operator(mesh)
+        loads = np.zeros((dofmap.vector_size,) + tail)
+        vertex_loads = loads[: dofmap.n_vertex_dofs].reshape(mesh.n_vertices, -1)
+        for lo, hi in cell_runs(mesh):
+            vertex_loads += mean[lo:hi].T @ integrals[lo:hi].reshape(hi - lo, -1)
     faces = bcs.neumann_face_ids(mesh)
     if bcs.neumann_data is not None and len(faces):
         dofs, values = _neumann_loads(mesh, faces, bcs.neumann_data, dofmap)
-        load += np.bincount(dofs, weights=values, minlength=len(load))
-    return load
+        if body_force is None:
+            loads = np.zeros((dofmap.vector_size,) + values.shape[1:])
+        columns, values = loads.reshape(dofmap.vector_size, -1), values.reshape(len(dofs), -1)
+        for k in range(values.shape[1]):
+            columns[:, k] += np.bincount(dofs, weights=values[:, k], minlength=len(columns))
+    return loads
 
 
 def dirichlet_lifting(mesh: Mesh, dofmap: DofMap,
@@ -369,9 +404,11 @@ def reduce_system(full_matrix: sp.csr_matrix | LambdaSplit, full_load: np.ndarra
                   lifting: np.ndarray, dofmap: DofMap) -> SparseSystem:
     """Eliminate constrained DOFs by lifting.  Given a `LambdaSplit` (built on
     `dofmap`) for the matrix: with bubbles and lambda > 0 the system carries
-    the split with its lambda-free loads and forms no matrix; otherwise its
-    matrix is the penalty matrix A0 + lambda*K (the no-bubble ablation), or
-    A0 at lambda = 0."""
+    the split with its lambda-free loads, load = load_u + lambda D_f^T load_p,
+    and forms no matrix; otherwise its matrix is A0_ff + lambda*K_ff from
+    the split's blocks (the no-bubble ablation), or A0_ff at lambda = 0, its
+    lifting enters the load through the split's `coupling`, and the
+    unconstrained matrix is formed when read."""
     free = dofmap.free_indices
     if isinstance(full_matrix, LambdaSplit):
         split = full_matrix
@@ -382,7 +419,9 @@ def reduce_system(full_matrix: sp.csr_matrix | LambdaSplit, full_load: np.ndarra
                 None, load_u + split.lam * (split.divergence.T @ load_p), lifting, free,
                 dofmap.constrained_indices, dofmap, None, full_load,
                 split=replace(split, load_u=load_u, load_p=load_p))
-        full_matrix = split.penalty_matrix(full=True) if split.lam > 0 else split.full_a0
+        load = full_load[free] - split.coupling() @ lifting[dofmap.constrained_indices]
+        return SparseSystem(split.penalty_matrix(), load, lifting, free,
+                            dofmap.constrained_indices, dofmap, None, full_load, source=split)
     reduced = full_matrix[free][:, free].tocsr()
     rhs = full_load[free] - (full_matrix @ lifting)[free]
     return SparseSystem(

@@ -538,35 +538,49 @@ def _runs(sizes: np.ndarray, limit: int):
 
 
 def _integrals(mesh: Mesh, kind: str, degree: int, integrand: Callable,
-               ids=None) -> np.ndarray:
+               ids=None, rank: int | None = None) -> np.ndarray:
     """Integral over every face (`kind` "face") or cell (`kind` "cell") of
     `ids` (default: all of them) of `integrand(points, at)`, where `at` is the
     position in `ids` of the face or cell of each point, by the batched rule
     of that degree.  The integrand is called on runs of consecutive entities
     with at most `_CHUNK_POINTS` points in all (or one entity, where it alone
-    has more), so the memory it takes does not grow with the mesh."""
+    has more), so the memory it takes does not grow with the mesh.  Where
+    `rank` is given, the integrand's value at a point is a tensor of that
+    rank, and a further trailing axis holds the parts of a field (such as
+    the lambda-parts of exact data): each part is summed as it would be
+    alone, so that it rounds the same with or without the others."""
     if kind == "face":
         rule, simplices, ref = mesh.batched_face_quadrature, mesh._face_tri_offsets, triangle_rule
     else:
         rule, simplices, ref = mesh.batched_cell_quadrature, mesh._cell_tri_offsets, tet_rule
     ids = np.arange(len(simplices) - 1) if ids is None else np.asarray(ids, dtype=int)
-    parts = []
+    runs = []
     for lo, hi in _runs(len(ref(degree)[1]) * np.diff(simplices)[ids], _CHUNK_POINTS):
         points, weights, offsets = rule(degree, ids[lo:hi])
         values = np.asarray(integrand(points, lo + _owner(offsets)), dtype=float)
-        # C order, as the stacked product below rounds by the layout of its operand
-        flat = np.ascontiguousarray(values.reshape(len(weights), -1))
-        sums = np.empty((hi - lo, flat.shape[1]))
-        for rows, entries in _groups(offsets):
-            first, last = entries[0, 0], entries[-1, -1]
-            if last - first + 1 == entries.size:  # one block of points: views, not copies
-                w = weights[first:last + 1].reshape(entries.shape)
-                f = flat[first:last + 1].reshape(entries.shape + flat.shape[1:])
-            else:
-                w, f = weights[entries], flat[entries]
-            sums[rows] = (w[:, None, :] @ f)[:, 0]
-        parts.append(sums.reshape((hi - lo,) + values.shape[1:]))
-    return np.concatenate(parts) if parts else np.zeros(0)
+        if rank is not None and values.ndim > rank + 1:
+            runs.append(np.stack([_rule_sums(weights, offsets, values[..., c])
+                                  for c in range(values.shape[-1])], axis=-1))
+        else:
+            runs.append(_rule_sums(weights, offsets, values))
+    return np.concatenate(runs) if runs else np.zeros(0)
+
+
+def _rule_sums(weights: np.ndarray, offsets: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The sums of `values` times `weights` over each entity's points (CSR
+    `offsets`)."""
+    # C order, as the stacked product below rounds by the layout of its operand
+    flat = np.ascontiguousarray(values.reshape(len(weights), -1))
+    sums = np.empty((len(offsets) - 1, flat.shape[1]))
+    for rows, entries in _groups(offsets):
+        first, last = entries[0, 0], entries[-1, -1]
+        if last - first + 1 == entries.size:  # one block of points: views, not copies
+            w = weights[first:last + 1].reshape(entries.shape)
+            f = flat[first:last + 1].reshape(entries.shape + flat.shape[1:])
+        else:
+            w, f = weights[entries], flat[entries]
+        sums[rows] = (w[:, None, :] @ f)[:, 0]
+    return sums.reshape((len(offsets) - 1,) + values.shape[1:])
 
 
 # -- POLYMESH format ---------------------------------------------------------

@@ -1,6 +1,9 @@
 """Iterative solvers for the reduced system: preconditioned MINRES on the
 mixed form of a lambda split, and Jacobi-preconditioned CG otherwise, both
-stopped by one rule (`_iterate`)."""
+stopped by one rule (`_iterate`).  MINRES may start from a guess at the
+mixed solution (a study's earlier solutions, extrapolated in 1/lambda),
+which it uses only where its residual is below the load's; the tolerance
+stays relative to the load, and the steps are counted from the start."""
 
 from __future__ import annotations
 
@@ -47,54 +50,64 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
+    """The solution with its lifting, the steps taken, the final residual
+    norm and the norm per step; `mixed` is the MINRES solution [u_f; p] of
+    the mixed form, from which a solve at another lambda may start."""
+
     function: DiscreteFunction
     iterations: int
     residual: float
     residual_history: np.ndarray
+    mixed: np.ndarray | None = None
 
 
-def solve_spd(system: SparseSystem, config: SolverConfig | None = None) -> SolveResult:
+def solve_spd(system: SparseSystem, config: SolverConfig | None = None,
+              start: np.ndarray | None = None) -> SolveResult:
     """Solve the reduced system and merge the solution with the Dirichlet
     lifting: by MINRES on the mixed form when the system carries a lambda
-    split (`_minres`), otherwise by (optionally Jacobi-preconditioned) CG
-    (`_cg`), both stopped by `_iterate`.  `iterations` counts the steps of
-    the method that ran, and `residual` is its final residual norm (see those
-    functions)."""
+    split (`_minres`, from `start`, a guess at its `SolveResult.mixed`,
+    where one is given), otherwise by (optionally Jacobi-preconditioned) CG
+    (`_cg`) from zero, both stopped by `_iterate`.  `iterations` counts the
+    steps of the method that ran, and `residual` is its final residual norm
+    (see those functions)."""
     if config is None:
         config = SolverConfig()
     full = system.lifting.copy()
     method = "MINRES" if system.split is not None else "CG"
     if system.n_free == 0:
-        steps = iter([(np.zeros(0), 0.0, False)])  # nothing to solve
+        steps = iter([(np.zeros(0), 0.0, 0.0)])  # nothing to solve
     elif method == "MINRES":
-        steps = _minres(system.split, config)
+        steps = _minres(system.split, config, start)
     else:
         steps = _cg(system.matrix, system.load, config)
     x, history = _iterate(method, steps, config.tol, config.iteration_cap(system.n_free))
-    full[system.free_indices] = x
+    full[system.free_indices] = x[:system.n_free]
     return SolveResult(DiscreteFunction(system.dofmap, full), max(len(history) - 1, 0),
-                       float(history[-1]) if history else 0.0, np.asarray(history))
+                       float(history[-1]) if history else 0.0, np.asarray(history),
+                       x if method == "MINRES" and system.n_free else None)
 
 
 def _iterate(method: str, steps, tol: float, cap: int):
     """Run the recurrence `steps` of `method` to its stop, and log the stop.
 
-    `steps` yields triples (x, residual norm of x, `confirmed`): first x = 0,
-    then one per step.  `confirmed` marks the true residual, computed from x
-    because the recurrence's estimate met `tol`; resumed after it, the
-    recurrence restarts from x with that residual.  The solve stops at
-    the tolerance once a true residual meets `tol` (relative to the first
-    norm), at the residual floor once a restart gained less than a factor
-    0.9, and at the iteration cap after `cap` steps; the last two raise
-    `SolverError`.  Returns the last x and the norms per step (empty for a
-    zero load).
+    `steps` yields triples: first the starting x, the norm of the load, to
+    which `tol` is relative, and the true residual norm of that x; then one
+    (x, residual norm of x, `confirmed`) per step.  `confirmed` marks the
+    true residual, computed from x because the recurrence's estimate met
+    `tol`; resumed after it, the recurrence restarts from x with that
+    residual.  The solve stops at the tolerance once a true residual meets
+    `tol` (the start's with no step), at the residual floor once a restart
+    gained less than a factor 0.9, and at the iteration cap after `cap`
+    steps; the last two raise `SolverError`.  Returns the last x and the
+    norms per step, from the start's (empty for a zero load).
     """
-    x, norm_b, _ = next(steps)
+    x, norm_b, start = next(steps)
     if norm_b == 0.0:
         logger.info("%s: 0 iterations, relative residual 0.000e+00, stopped at the "
                     "tolerance", method)
         return x, []
-    history, last_restart, reason = [norm_b], math.inf, None
+    history, last_restart = [start], math.inf
+    reason = "tolerance" if start <= tol * norm_b else None
     while reason is None:
         x, residual, confirmed = next(steps)
         history.append(residual)
@@ -139,7 +152,7 @@ def _cg(a_mat, b: np.ndarray, config: SolverConfig):
         inv_diag = np.ones(n)
     norm_b, norm_bp = np.linalg.norm(b), math.sqrt(b @ (inv_diag * b))
     x, r = np.zeros(n), b.copy()
-    yield x, norm_b, False
+    yield x, norm_b, norm_b
     while True:
         # (re)start from x with r = b - A x
         z = inv_diag * r
@@ -173,7 +186,7 @@ def _cg(a_mat, b: np.ndarray, config: SolverConfig):
         yield x, np.linalg.norm(r), True
 
 
-def _minres(split: LambdaSplit, config: SolverConfig):
+def _minres(split: LambdaSplit, config: SolverConfig, start: np.ndarray | None = None):
     """Preconditioned MINRES on the mixed system of a lambda split,
 
         [A0, D^T W; W D, -W/lambda] [u; p] = [load_u; load_p],
@@ -182,9 +195,11 @@ def _minres(split: LambdaSplit, config: SolverConfig):
     the preconditioner blockdiag(diag(A0), (1/lambda + 1/mu) W) (identity
     blocks with `preconditioner="none"`), after Elman, Silvester & Wathen,
     Finite Elements and Fast Iterative Solvers (2nd ed., 2014), ch. 4.
-    Yields `_iterate` steps of u, with the preconditioned residual norms
-    |r|_{M^-1}; a step's estimate meets `tol` once |r|_{M^-1} <= tol *
-    |b|_{M^-1}.
+    Starts from `start` where its residual is below that of x = 0, and from
+    zero otherwise.  Yields `_iterate` steps of [u; p], with the
+    preconditioned residual norms |r|_{M^-1}; a step's estimate meets `tol`
+    once |r|_{M^-1} <= tol * |b|_{M^-1}, relative to the load whatever the
+    start.
     """
     mixed, w = split.mixed, split.volume
     n, m = split.divergence.shape[1], len(w)
@@ -211,12 +226,17 @@ def _minres(split: LambdaSplit, config: SolverConfig):
     x = np.zeros(n + m)
     v = rhs.copy()
     z = inv_m * v
-    norm_b = math.sqrt(v @ z)
+    norm_b = gamma = math.sqrt(v @ z)
     if not math.isfinite(norm_b):
         raise SolverError("MINRES breakdown: non-finite load")
-    yield x[:n], norm_b, False
+    if start is not None:
+        v_start = rhs - apply(start)
+        z_start = inv_m * v_start
+        gamma_start = math.sqrt(v_start @ z_start)
+        if gamma_start < norm_b:  # False for a non-finite start
+            x, v, z, gamma = np.array(start, dtype=float), v_start, z_start, gamma_start
+    yield x, norm_b, gamma
     v_old, z_new, dirs, dirs_old = (np.empty(n + m) for _ in range(4))
-    gamma = norm_b
     while True:
         # (re)start from x with v = b - K x, z = M^-1 v and gamma = |v|_{M^-1}
         gamma_old, eta = 1.0, gamma
@@ -259,9 +279,9 @@ def _minres(split: LambdaSplit, config: SolverConfig):
             z, z_new = z_new, z
             if not abs(eta) > config.tol * norm_b:
                 break
-            yield x[:n], abs(eta), False
+            yield x, abs(eta), False
         # confirm with the true residual (the recurrence may have drifted)
         v = rhs - apply(x)
         z = inv_m * v
         gamma = math.sqrt(v @ z)
-        yield x[:n], gamma, True
+        yield x, gamma, True

@@ -9,10 +9,14 @@ Dirichlet conditions, so that both variants share one assembly code path.
 All reconstruction operators are linear in the DOF vector.  The cell
 gradient is the divergence theorem over the face traces (the convex-weight
 vertex average plus the bubble times n_f); its trace, the divergence, is the
-balance of the face fluxes (`assembly.divergence_operator`).
-`ReconstructionOperators` builds the others as sparse matrices for runs of
-cells of bounded size (`operator_chunks`), over which the assembly, the norms
-and the diagnostics sum; the per-cell functions are views of it on one cell.
+balance of the face fluxes (`assembly.divergence_operator`).  `cell_fields`
+evaluates the gradient, the vertex mean and the stabilization energy of DOF
+vectors in closed form over all cells, for the errors, norms and
+diagnostics; `ReconstructionOperators` builds the operators as sparse
+matrices for runs of cells of bounded size (`operator_chunks`), over which
+only the matrix assembly sums; the per-cell functions are views of it on one
+cell.  A field with a trailing axis, (n, 3, s), such as the lambda-parts of
+the exact data, is interpolated column by column in one pass.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ QUAD_DEGREE = 4
 # the most local-matrix entries (sum over cells of n_loc**2) of one run of
 # `operator_chunks`: 1,024 tetrahedra (16 local DOFs) or 291 hexahedra (30)
 _CHUNK_ENTRIES = 1 << 18
+
+# the most (cell vertex, vector) pairs of one run of the vertex-fit residuals
+# of `cell_fields`
+_FIT_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -138,14 +146,15 @@ class DofMap:
 
 @dataclass
 class DiscreteFunction:
-    """Coefficient vector over a DofMap."""
+    """Coefficient vector over a DofMap, or (N, s) with one column per
+    function (the interpolants of a field with a trailing axis)."""
 
     dofmap: DofMap
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.dofmap.vector_size,):
+        if self.values.shape[:1] != (self.dofmap.vector_size,) or self.values.ndim > 2:
             raise ValueError("coefficient vector has the wrong length")
 
     def vertex_values(self) -> np.ndarray:
@@ -161,11 +170,16 @@ class DiscreteFunction:
 # -- face operators -----------------------------------------------------------
 
 
-def _face_averages(mesh: Mesh, vertex_values: np.ndarray, faces) -> np.ndarray:
-    """Convex-weight average of `vertex_values` over each face of `faces`."""
-    loop, face = row_entries(mesh.face_loop_offsets, faces)
-    average = sp.csr_matrix((mesh._face_weights[loop], (face, mesh.face_loop_vertices[loop])),
-                            shape=(len(faces), mesh.n_vertices))
+def _face_averages(mesh: Mesh, vertex_values: np.ndarray, faces=None) -> np.ndarray:
+    """Convex-weight average of `vertex_values` (n_v, k) over each face of
+    `faces` (default: every face)."""
+    if faces is None:
+        average = sp.csr_matrix((mesh._face_weights, mesh.face_loop_vertices,
+                                 mesh.face_loop_offsets), shape=(mesh.n_faces, mesh.n_vertices))
+    else:
+        loop, face = row_entries(mesh.face_loop_offsets, faces)
+        average = sp.csr_matrix((mesh._face_weights[loop], (face, mesh.face_loop_vertices[loop])),
+                                shape=(len(faces), mesh.n_vertices))
     return average @ vertex_values
 
 
@@ -322,37 +336,84 @@ class ReconstructionOperators:
         both scaled by h_K**(DIM-2)."""
         return self.fit.T @ sp.diags(self.fit_scale) @ self.fit + sp.diags(self.bubble_scale)
 
-    def stabilization_energy(self, local: np.ndarray):
-        """S(v, v) of DOF vectors with entries `local` on `dofs`, evaluated in
-        factored form (vertex-fit residual and bubble values squared after
-        subtraction) so that near-kernel vectors give exact zeros instead of
-        cancellation noise."""
-        return self.fit_scale @ (self.fit @ local) ** 2 + self.bubble_scale @ local**2
+
+def cell_runs(mesh: Mesh):
+    """(lo, hi) of the runs of consecutive cells, in order, with at most
+    `_CHUNK_ENTRIES` local-matrix entries in all (or one cell, where it alone
+    has more): the cells over which the matrix and the volume load sum."""
+    n_loc = 3 * np.diff(mesh.cell_vertex_offsets) + np.diff(mesh.cell_face_offsets)
+    return _runs(n_loc**2, _CHUNK_ENTRIES)
 
 
 def operator_chunks(mesh: Mesh):
-    """`ReconstructionOperators` over runs of consecutive cells, in order,
-    with at most `_CHUNK_ENTRIES` local-matrix entries in all (or one cell,
-    where it alone has more), so that the memory the operators and their
-    products take does not grow with the mesh."""
-    n_loc = 3 * np.diff(mesh.cell_vertex_offsets) + np.diff(mesh.cell_face_offsets)
-    for lo, hi in _runs(n_loc**2, _CHUNK_ENTRIES):
+    """`ReconstructionOperators` over the `cell_runs`, so that the memory the
+    operators and their products take does not grow with the mesh."""
+    for lo, hi in cell_runs(mesh):
         yield ReconstructionOperators(mesh, np.arange(lo, hi))
+
+
+def cell_face_balance(mesh: Mesh) -> sp.csr_matrix:
+    """W^-1 C (n_cells, n_faces): the sign of each cell's faces over the cell
+    volume, which turns face integrals into cell averages by the divergence
+    theorem."""
+    return sp.csr_matrix(
+        (mesh.cell_face_signs / np.repeat(mesh.cell_volume, np.diff(mesh.cell_face_offsets)),
+         mesh.cell_face_ids, mesh.cell_face_offsets), shape=(mesh.n_cells, mesh.n_faces))
+
+
+def cell_mean_operator(mesh: Mesh) -> sp.csr_matrix:
+    """M (n_cells, n_vertices): the convex-weight average over each cell's
+    vertices, in ascending vertex order."""
+    return sp.csr_matrix((mesh._cell_weights, mesh.cell_vertex_ids, mesh.cell_vertex_offsets),
+                         shape=(mesh.n_cells, mesh.n_vertices))
 
 
 def cell_fields(mesh: Mesh, values: np.ndarray, stabilization: bool = False):
     """The gradient (n_cells, 3, 3[, s]) and the vertex mean (n_cells, 3[, s])
-    on every cell of the DOF vectors `values` (N[, s]), over `operator_chunks`;
-    with `stabilization`, also S(v, v) of each vector, from the same walk."""
-    gradients, means, energy = [], [], 0
-    for ops in operator_chunks(mesh):
-        local = values[ops.dofs]
-        gradients.append((ops.gradient @ local).reshape((-1, 3, 3) + values.shape[1:]))
-        means.append((ops.mean @ local).reshape((-1, 3) + values.shape[1:]))
-        if stabilization:
-            energy = energy + ops.stabilization_energy(local)
-    fields = np.concatenate(gradients), np.concatenate(means)
-    return fields + (energy,) if stabilization else fields
+    on every cell of the DOF vectors `values` (N[, s]), in closed form over
+    all cells: with the face traces t_f = sum_v w_fv u_v + b_f n_f,
+    G_K = |K|^-1 sum_f sign_Kf |f| t_f (x) n_f, summed through
+    `cell_face_balance` as `assembly.divergence_operator` sums the fluxes,
+    and M_K = sum_v w_Kv u_v (`cell_mean_operator`).  With `stabilization`,
+    also S(v, v) of each vector, sum_K h_K sum_s |v_s - M_K v - G_K v
+    (x_s - c_K)|^2 plus the bubble term sum_f b_f^2 sum_{K owns f} h_K, in
+    factored form so that near-kernel vectors give exact zeros instead of
+    cancellation noise."""
+    n_v, n_f, n_c = mesh.n_vertices, mesh.n_faces, mesh.n_cells
+    tail = values.shape[1:]
+    vertex = values[:3 * n_v].reshape(n_v, -1)  # (n_v, 3 s)
+    bubble = values[3 * n_v:].reshape(n_f, 1, -1)
+    trace = _face_averages(mesh, vertex).reshape(n_f, 3, -1)
+    trace += mesh.face_normal[:, :, None] * bubble
+    trace *= mesh.face_area[:, None, None]
+    balance = cell_face_balance(mesh)
+    gradient = np.empty((n_c, 3, 3, trace.shape[2]))
+    flux = np.empty_like(trace)
+    for j in range(3):  # column j of every G: the traces against n_f,j
+        np.multiply(trace, mesh.face_normal[:, j, None, None], out=flux)
+        gradient[:, :, j] = (balance @ flux.reshape(n_f, -1)).reshape(n_c, 3, -1)
+    del trace, flux, balance
+    mean = (cell_mean_operator(mesh) @ vertex).reshape(n_c, 3, -1)
+    fields = gradient.reshape((n_c, 3, 3) + tail), mean.reshape((n_c, 3) + tail)
+    if not stabilization:
+        return fields
+    h = mesh.cell_diameter ** (DIM - 2)
+    faces_h = np.bincount(mesh.cell_face_ids, minlength=n_f,
+                          weights=np.repeat(h, np.diff(mesh.cell_face_offsets)))
+    energy = faces_h @ bubble[:, 0] ** 2
+    vertex = vertex.reshape(n_v, 3, -1)
+    offsets = mesh.cell_vertex_offsets
+    # the vertex-fit residuals over runs of cells, so that their temporaries
+    # stay below a few times `_FIT_ENTRIES` entries
+    for lo, hi in _runs(np.diff(offsets) * vertex.shape[2], _FIT_ENTRIES):
+        cell = np.repeat(np.arange(lo, hi), np.diff(offsets[lo:hi + 1]))
+        ids = mesh.cell_vertex_ids[offsets[lo]:offsets[hi]]
+        lever = mesh.positions[ids] - mesh.cell_centroid[cell]
+        residual = vertex[ids] - mean[cell]
+        for j in range(3):
+            residual -= gradient[cell, :, j] * lever[:, j, None, None]
+        energy += h[cell] @ (residual**2).sum(axis=1)
+    return fields + (energy.reshape(tail),)
 
 
 @dataclass(frozen=True)
@@ -426,31 +487,38 @@ def face_bubble_moments(mesh: Mesh, field: Callable, face_ids: np.ndarray,
                         quad_degree: int = INTERPOLATION_QUAD_DEGREE) -> np.ndarray:
     """Bubble DOFs of the interpolant on the given faces: the face-mean normal
     component of the field minus the normal component of the weighted vertex
-    average."""
+    average.  A field with a trailing axis, (n, 3, s), gives (k, s)."""
     face_ids = np.asarray(face_ids, dtype=int)
     normal = mesh.face_normal[face_ids]
-    n_x, n_y, n_z = normal.T.copy()
+    n_x, n_y, n_z = normal.T[:, :, None].copy()
 
     def normal_component(points, at):
-        u = np.asarray(field(points), dtype=float)
+        u = np.asarray(field(points), dtype=float).reshape(len(points), 3, -1)
         # adds as np.einsum("pi,pi->p", u, normal[at]) does
         return (u[:, 0] * n_x[at] + u[:, 2] * n_z[at]) + u[:, 1] * n_y[at]
 
-    flux = _integrals(mesh, "face", quad_degree, normal_component, face_ids)
-    average = _face_averages(mesh, vertex_values, face_ids)
-    return flux / mesh.face_area[face_ids] - np.einsum("fi,fi->f", average, normal)
+    flux = _integrals(mesh, "face", quad_degree, normal_component, face_ids, rank=0)
+    average = _face_averages(mesh, vertex_values.reshape(mesh.n_vertices, -1), face_ids)
+    average = average.reshape(len(face_ids), 3, -1)
+    # part by part, each as it would be alone
+    dots = np.stack([np.einsum("fi,fi->f", np.ascontiguousarray(average[:, :, c]), normal)
+                     for c in range(average.shape[2])], axis=-1)
+    moments = flux / mesh.face_area[face_ids, None] - dots
+    return moments.reshape((len(face_ids),) + vertex_values.shape[2:])
 
 
 def interpolate(mesh: Mesh, dofmap: DofMap, field: Callable,
                 quad_degree: int = INTERPOLATION_QUAD_DEGREE) -> DiscreteFunction:
     """Interpolate a continuous vector field: vertex DOFs are point values,
     bubble DOFs are face-mean normal-flux corrections.  With bubbles disabled
-    the bubble entries are left at zero."""
-    values = np.zeros(dofmap.vector_size)
+    the bubble entries are left at zero.  A field with a trailing axis,
+    (n, 3, s), gives one interpolant per column: values (N, s)."""
     vertex_values = np.asarray(field(mesh.positions), dtype=float)
-    if vertex_values.shape != (mesh.n_vertices, 3):
+    if vertex_values.shape[:2] != (mesh.n_vertices, 3):
         raise ValueError("field must map (n,3) points to (n,3) vectors")
-    values[: dofmap.n_vertex_dofs] = vertex_values.ravel()
+    tail = vertex_values.shape[2:]
+    values = np.zeros((dofmap.vector_size,) + tail)
+    values[: dofmap.n_vertex_dofs] = vertex_values.reshape((dofmap.n_vertex_dofs,) + tail)
     if dofmap.bubbles_enabled:
         face_ids = np.arange(mesh.n_faces)
         values[dofmap.n_vertex_dofs:] = face_bubble_moments(

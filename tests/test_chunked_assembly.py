@@ -137,7 +137,7 @@ def test_traced_study_assembles_one_matrix_per_mesh(monkeypatch, tmp_path):
     names = [span["name"] for span in tracer.spans]
     assert names.count("assembly.matrix") == 2
     assert names.count("assembly.reduce") == 6
-    assert names.count("assembly.load") == 4  # one per part of the data, per mesh
+    assert names.count("assembly.load") == 2  # one per mesh, both parts along a trailing axis
 
 
 def test_study_logs_the_split_once_per_mesh(caplog):
@@ -168,7 +168,7 @@ def test_matrix_assembly_memory_stays_near_the_matrix():
 
 @pytest.mark.parametrize("diagnostic", ["discrete_norms", "korn_ratio",
                                         "consistency_error"])
-def test_diagnostics_walk_the_chunks_once(diagnostic, monkeypatch):
+def test_diagnostics_do_not_walk_the_chunks(diagnostic, monkeypatch):
     mesh = MESHES["tet:3:0.3"]()
     case = manufactured_case("example2", lam=1e3)
     dofmap = DofMap(mesh)
@@ -185,4 +185,19 @@ def test_diagnostics_walk_the_chunks_once(diagnostic, monkeypatch):
      "korn_ratio": lambda: korn_ratio(mesh, dofmap, 4),
      "consistency_error": lambda: consistency_error(mesh, case.gradient, reference),
      }[diagnostic]()
-    assert len(walks) == 1
+    assert walks == []  # the cell fields are in closed form
+
+
+def test_a_study_walks_the_chunks_once_per_mesh(monkeypatch):
+    walks = []
+    chunks = space.operator_chunks
+
+    def counted(mesh):
+        walks.append(mesh.n_cells)
+        return chunks(mesh)
+
+    monkeypatch.setattr(space, "operator_chunks", counted)
+    monkeypatch.setattr(assembly, "operator_chunks", counted)
+    run_convergence_study("example3", [MeshSource("tet", 2), MeshSource("tet", 3, 0.3)],
+                          [1.0, 1e4, 1e8])
+    assert walks == [48, 162]  # `assemble_matrix`, once per mesh

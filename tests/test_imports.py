@@ -1,5 +1,6 @@
 """Every module of the package uses every name it imports (the package's
-`__init__.py`, which imports to re-export, excepted)."""
+`__init__.py`, which imports to re-export, excepted), and only the matrix
+assembly walks the per-chunk reconstruction operators."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,38 @@ def test_every_private_module_name_is_referenced():
     orphans = sorted(f"{module}:{name}" for module, source in sources.items()
                      for name in private_definitions(source) - read)
     assert orphans == []
+
+
+def callers(source: str, name: str) -> set[str]:
+    """The functions of `source` (or "<module>") that call `name`, by its bare
+    name or as an attribute."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == name) or (
+                        isinstance(func, ast.Attribute) and func.attr == name):
+                    found.add(function)
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_guard_sees_every_caller():
+    source = "def a():\n    return [x for x in walk(m)]\n" \
+             "def b():\n    def c():\n        space.walk(m)\n    return c\nwalk(m)\n"
+    assert callers(source, "walk") == {"a", "c", "<module>"}
+
+
+def test_only_the_matrix_assembly_walks_the_operator_chunks():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in Path(polyelast.__file__).parent.glob("*.py")}
+    walkers = sorted(f"{module}:{function}" for module, source in sources.items()
+                     for function in callers(source, "operator_chunks"))
+    assert walkers == ["assembly.py:assemble_matrix"]

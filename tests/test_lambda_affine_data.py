@@ -1,9 +1,10 @@
 """The exact data of the manufactured cases are affine in t = 1/lambda: the
-parts of `ManufacturedCase.parts` rebuild the displacement, the strain, the
-body force and the traction of every case, and their strain products the
-exact strain norm.  The convergence study therefore computes the loads, the
-interpolants and the strain products once per mesh and combines them for
-every lambda."""
+parts of `ManufacturedCase.parts`, along the trailing axis of its fields,
+rebuild the displacement, the strain, the body force and the traction of
+every case, and their strain products the exact strain norm.  The
+convergence study therefore computes the loads, the interpolants and the
+strain products once per mesh, in one pass that gives each part as it would
+be alone, and combines them for every lambda."""
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from polyelast.analysis import (
     run_convergence_study,
     strain_gram,
 )
+from polyelast.assembly import BoundaryConditions, assemble_load
 from polyelast.mesh import generate_structured_mesh, write_polymesh
+from polyelast.space import DofMap, interpolate
 
 LAMBDAS = [1.0, 1e2, 1e4, 1e6, 1e8]
 
@@ -40,10 +43,10 @@ def test_parts_rebuild_the_fused_fields(name, lam):
     normals /= np.linalg.norm(normals, axis=1)[:, None]
     case = manufactured_case(name, lam=lam)
     parts = case.parts
-    assert len(parts) == (2 if name in ("example2", "example3") else 1)
+    assert parts.displacement(points).shape[-1] == (2 if name in ("example2", "example3") else 1)
 
     def rebuilt(field, *args):
-        return at_lambda([getattr(part, field)(*args) for part in parts], lam)
+        return at_lambda(getattr(parts, field)(*args), lam)
 
     assert close(rebuilt("displacement", points), case.displacement(points))
     assert close(rebuilt("strain", points), case.strain(points))
@@ -56,7 +59,7 @@ def test_parts_rebuild_the_fused_fields(name, lam):
 def test_parts_give_the_exact_strain_norm(name):
     mesh = MeshSource("tet", 3, 0.3).build()
     lambdas = [1.0] if name in ("example1", "affine") else [1.0, 1e3, 1e8]
-    gram = strain_gram(mesh, [part.strain for part in manufactured_case(name, 1.0).parts])
+    gram = strain_gram(mesh, manufactured_case(name, 1.0).parts.strain)
     assert np.array_equal(gram, gram.T)
     for lam in lambdas:
         expected = exact_strain_norm(mesh, manufactured_case(name, lam=lam).strain)
@@ -119,3 +122,27 @@ def test_study_logs_the_exact_data_once_per_mesh(caplog):
              if "lambda-free exact data" in r.getMessage()]
     assert [line.split(": ")[0] for line in lines] == ["tet:1", "tet:2"]
     assert all("(2 parts)" in line for line in lines)
+
+
+@pytest.mark.parametrize("name, spec", [("example2", "tet:3:0.3"), ("example3", "hex:3")])
+def test_one_pass_gives_each_part_as_it_would_be_alone(name, spec):
+    kind, n, perturb = (spec.split(":") + ["0"])[:3]
+    mesh = MeshSource(kind, int(n), float(perturb)).build()
+    case = manufactured_case(name, lam=1.0)
+    parts, tags = case.parts, case.dirichlet_faces(mesh)
+    dofmap = DofMap(mesh, dirichlet_faces=tags)
+
+    def part(field, c):
+        return lambda *args: np.ascontiguousarray(getattr(parts, field)(*args)[..., c])
+
+    load = assemble_load(mesh, dofmap, BoundaryConditions(tags, neumann_data=parts.traction),
+                         parts.body_force)
+    interpolant = interpolate(mesh, dofmap, parts.displacement).values
+    assert load.shape == interpolant.shape == (dofmap.vector_size, 2)
+    for c in range(2):
+        alone = assemble_load(mesh, dofmap,
+                              BoundaryConditions(tags, neumann_data=part("traction", c)),
+                              part("body_force", c))
+        assert np.array_equal(load[:, c], alone)
+        assert np.array_equal(interpolant[:, c], interpolate(mesh, dofmap,
+                                                             part("displacement", c)).values)

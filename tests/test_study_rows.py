@@ -75,3 +75,23 @@ def test_mesh_spec_values_are_checked_before_any_mesh_is_built(series, message,
                  "--lambda", "1"])
     assert (code, builds) == (1, [])
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_every_mesh_file_of_a_series_is_opened_before_a_mesh_is_built(monkeypatch, capsys):
+    built = []
+
+    def spy(name):
+        original = getattr(analysis, name)
+
+        def counted(*args, **kwargs):
+            built.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("generate_structured_mesh", "parse_polymesh"):
+        monkeypatch.setattr(analysis, name, spy(name))
+    assert main(["convergence", "--case", "example2", "--mesh-series", "tet:3,no/such.poly",
+                 "--lambda", "1"]) == 1
+    assert "[Errno 2] No such file or directory: 'no/such.poly'" in capsys.readouterr().err
+    assert built == []
