@@ -11,6 +11,9 @@ derived analytically from -div(sigma(u)) and are cross-checked against a
 finite-difference oracle in the test suite.  The example2/example3 data are
 affine in t = 1/lambda; their two parts are given along a trailing axis of
 every field (`ManufacturedCase.parts`), from one sin/cos table per call.
+All three cases share the solenoidal field a, and one kernel
+(`_derivative_a`) gives its gradient and its strain, for the fused fields
+and the parts alike, from the four distinct products of the gradient.
 
 The errors and norms take the cell fields in closed form
 (`space.cell_fields`).  The study (`study_rows`) does per mesh what does not
@@ -65,8 +68,7 @@ CASE_NAMES = ("example1", "example2", "example3", "affine")
 
 
 def _trig_parts(points: np.ndarray, k: float):
-    """sin and cos of k times every coordinate of the (n, 3) `points`, as two
-    (3, n) arrays."""
+    """sin and cos of k times each coordinate of the (n, 3) `points`, two (3, n) arrays."""
     angles = np.multiply(points.T, k, order="C")
     return np.sin(angles), np.cos(angles, out=angles)
 
@@ -90,42 +92,38 @@ def _field_a(parts: tuple, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-# entry (i, j) of the gradient of `_field_a` is scale * k times the sine ("s")
-# or cosine ("c") of k x, of k y and of k z
-_GRAD_A = (((-2.0, "ccc"), (2.0, "ssc"), (2.0, "scs")),
-           ((-1.0, "ssc"), (1.0, "ccc"), (-1.0, "css")),
-           ((-1.0, "scs"), (-1.0, "css"), (1.0, "ccc")))
+def _solenoidal_force(parts: tuple, k: float, mu: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """The body force 3 k^2 mu a of `_field_a`, (3, n), written to `out` where given."""
+    out = _field_a(parts, out=out)
+    out *= 3.0 * k * k * mu
+    return out
 
 
-def _grad_a_entry(parts: tuple, k: float, i: int, j: int, out: np.ndarray) -> np.ndarray:
-    scale, kinds = _GRAD_A[i][j]
-    return _product(out, scale * k, *(parts["sc".index(kind)][m]
-                                      for m, kind in enumerate(kinds)))
+# entry (i, j) of the gradient of `_field_a`, and of its strain, is scale times
+# product p = 0..3 of k (sin|cos)(k x) (sin|cos)(k y) (sin|cos)(k z), for ccc,
+# ssc, scs, css; the scales are powers of two, so each entry rounds as p does
+_GRAD_A = (((-2.0, 0), (2.0, 1), (2.0, 2)),
+           ((-1.0, 1), (1.0, 0), (-1.0, 3)),
+           ((-1.0, 2), (-1.0, 3), (1.0, 0)))
+_STRAIN_A = (((-2.0, 0), (0.5, 1), (0.5, 2)),
+             ((0.5, 1), (1.0, 0), (-1.0, 3)),
+             ((0.5, 2), (-1.0, 3), (1.0, 0)))
 
 
-def _gradient(entry: Callable, parts: tuple) -> np.ndarray:
-    """The (n, 3, 3) gradient whose entry (i, j) `entry(parts, i, j, out)` writes."""
-    g = np.empty((3, 3, parts[0].shape[1]))
-    for i in range(3):
-        for j in range(3):
-            entry(parts, i, j, g[i, j])
-    return g.transpose(2, 0, 1)
-
-
-def _symmetric_gradient(entry: Callable, parts: tuple,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """The (n, 3, 3) strain 0.5 (g + g^T) of the gradient g whose entries
-    `entry` writes, from its six distinct entries, written to the (3, 3, n)
-    `out` where given."""
-    out = np.empty((3, 3, parts[0].shape[1])) if out is None else out
-    other = np.empty(out.shape[2])
-    for i in range(3):
-        for j in range(i, 3):
-            eps = entry(parts, i, j, out[i, j])
-            eps += eps if i == j else entry(parts, j, i, other)
-            eps *= 0.5
-            out[j, i] = eps
-    return out.transpose(2, 0, 1)
+def _derivative_a(parts: tuple, k: float, table: tuple,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The gradient (`table` `_GRAD_A`) or strain (`_STRAIN_A`) of `_field_a`, (3, 3, n), in
+    `out` where given; each product is formed once, in the last entry to read it, not a buffer."""
+    (sx, sy, sz), (cx, cy, cz) = parts
+    out = np.empty((3, 3, len(sx))) if out is None else out
+    entries, flat = [entry for row in table for entry in row], out.reshape(9, -1)
+    home = {p: m for m, (_, p) in enumerate(entries)}
+    for p, f in enumerate(((cx, cy, cz), (sx, sy, cz), (sx, cy, sz), (cx, sy, sz))):
+        _product(flat[home[p]], k, *f)
+    for m, (scale, p) in enumerate(entries):
+        np.multiply(flat[home[p]], scale, out=flat[m])
+    return out
 
 
 def _stress(two_mu: float, strain: np.ndarray, pressure: np.ndarray) -> np.ndarray:
@@ -234,23 +232,11 @@ def _example2_parts(k: float, mu: float) -> ExactData:
     # returned as a view with the trailing part axis
 
     def strain_of(parts):
-        """eps(a), from the four distinct products of its gradient (see
-        `_GRAD_A`: (k sx) sy cz and so on, times powers of two, so that it
-        rounds as `_symmetric_gradient` does), and eps(s), whose diagonal
-        is k cos(k x_i)."""
-        (sx, sy, sz), (cx, cy, cz) = parts
-        out = np.empty((2, 3, 3, len(sx)))
-        eps_a, eps_s = out
-        for (i, j), scale, factors in (((0, 1), 0.5, (sx, sy, cz)), ((0, 2), 0.5, (sx, cy, sz)),
-                                       ((1, 2), -1.0, (cx, sy, sz))):
-            np.multiply(_product(eps_a[j, i], k, *factors), scale, out=eps_a[i, j])
-            eps_a[j, i] = eps_a[i, j]
-        _product(eps_a[1, 1], k, cx, cy, cz)
-        eps_a[2, 2] = eps_a[1, 1]
-        np.multiply(eps_a[1, 1], -2.0, out=eps_a[0, 0])
-        eps_s.fill(0.0)
+        """eps(a), and eps(s), whose diagonal is k cos(k x_i)."""
+        out = np.zeros((2, 3, 3, parts[0].shape[1]))
+        _derivative_a(parts, k, _STRAIN_A, out=out[0])
         for i in range(3):
-            np.multiply(k, parts[1][i], out=eps_s[i, i])
+            np.multiply(k, parts[1][i], out=out[1, i, i])
         return out.transpose(3, 1, 2, 0)
 
     def displacement(points):
@@ -264,8 +250,7 @@ def _example2_parts(k: float, mu: float) -> ExactData:
         sin, cos = _trig_parts(points, k)
         out = np.empty((2, 3, len(points)))
         np.multiply(2.0 * mu * k * k, sin, out=out[1])
-        force_a = _field_a((sin, cos), out=out[0])
-        force_a *= 3.0 * k * k * mu
+        force_a = _solenoidal_force((sin, cos), k, mu, out=out[0])
         force_a += np.multiply(k * k, sin, out=sin)
         return out.transpose(2, 1, 0)
 
@@ -287,23 +272,13 @@ def manufactured_case(name: str, lam: float, mu: float = 1.0,
     material = MaterialParams(mu=mu, lam=lam, mu1=mu1)
     if name == "example1":
         k = np.pi
-        factor = 3.0 * k * k * mu
-
-        def entry(parts, i, j, out):
-            return _grad_a_entry(parts, k, i, j, out)
-
-        def force(points):
-            out = _field_a(_trig_parts(points, k))
-            out *= factor
-            return out.T
-
         return ManufacturedCase(
             name, material,
             displacement=lambda p: _field_a(_trig_parts(p, k)).T,
-            gradient=lambda p: _gradient(entry, _trig_parts(p, k)),
-            strain=lambda p: _symmetric_gradient(entry, _trig_parts(p, k)),
+            gradient=lambda p: _derivative_a(_trig_parts(p, k), k, _GRAD_A).transpose(2, 0, 1),
+            strain=lambda p: _derivative_a(_trig_parts(p, k), k, _STRAIN_A).transpose(2, 0, 1),
             divergence=lambda p: np.zeros(len(p)),
-            body_force=force,
+            body_force=lambda p: _solenoidal_force(_trig_parts(p, k), k, mu).T,
             dirichlet_faces=tagger,
         )
     if name in ("example2", "example3"):
@@ -311,11 +286,15 @@ def manufactured_case(name: str, lam: float, mu: float = 1.0,
         if lam <= 0:
             raise ValueError(f"{name} requires lambda > 0")
 
-        def entry(parts, i, j, out):
-            _grad_a_entry(parts, k, i, j, out)
-            if i == j:
-                out += (k / lam) * parts[1][i]
-            return out
+        def plus_divergence(table):
+            """The field of `table` for a + s/lambda: (k/lambda) cos(k x_i) on (i, i)."""
+            def field(points):
+                parts = _trig_parts(points, k)
+                out = _derivative_a(parts, k, table)
+                for i in range(3):
+                    out[i, i] += (k / lam) * parts[1][i]
+                return out.transpose(2, 0, 1)
+            return field
 
         def disp(points):
             parts = _trig_parts(points, k)
@@ -329,16 +308,15 @@ def manufactured_case(name: str, lam: float, mu: float = 1.0,
 
         def force(points):
             parts = _trig_parts(points, k)
-            out = _field_a(parts)
-            out *= 3.0 * k * k * mu
+            out = _solenoidal_force(parts, k, mu)
             out += np.multiply((k * k / lam) * (2.0 * mu + lam), parts[0], out=parts[0])
             return out.T
 
         return ManufacturedCase(
             name, material,
             displacement=disp,
-            gradient=lambda p: _gradient(entry, _trig_parts(p, k)),
-            strain=lambda p: _symmetric_gradient(entry, _trig_parts(p, k)),
+            gradient=plus_divergence(_GRAD_A),
+            strain=plus_divergence(_STRAIN_A),
             divergence=div,
             body_force=force,
             dirichlet_faces=tagger,

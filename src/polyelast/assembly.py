@@ -350,11 +350,13 @@ def assemble_load(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions,
         vertex_loads = loads[: dofmap.n_vertex_dofs].reshape(mesh.n_vertices, -1)
         for lo, hi in cell_runs(mesh):
             vertex_loads += mean[lo:hi].T @ integrals[lo:hi].reshape(hi - lo, -1)
+    elif bcs.neumann_data is not None:
+        # the fields' trailing axis, from a traction at no point: there may be no Neumann face
+        tail = np.shape(bcs.neumann_data(np.empty((0, 3)), np.empty((0, 3))))[2:]
+        loads = np.zeros((dofmap.vector_size,) + tail)
     faces = bcs.neumann_face_ids(mesh)
     if bcs.neumann_data is not None and len(faces):
         dofs, values = _neumann_loads(mesh, faces, bcs.neumann_data, dofmap)
-        if body_force is None:
-            loads = np.zeros((dofmap.vector_size,) + values.shape[1:])
         columns, values = loads.reshape(dofmap.vector_size, -1), values.reshape(len(dofs), -1)
         for k in range(values.shape[1]):
             columns[:, k] += np.bincount(dofs, weights=values[:, k], minlength=len(columns))

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 
 from .analysis import (
+    CASE_NAMES,
     MeshSource,
     default_provenance,
     format_records_csv,
@@ -24,6 +25,7 @@ from .assembly import AssemblyError, assemble, divergence_operator
 from .mesh import DEFAULT_SEED, MeshError, _integrals, validate_mesh
 from .solver import SolverConfig, SolverError, solve_spd
 from .space import (
+    QUAD_DEGREE,
     DiscreteFunction,
     DofMap,
     cell_fields,
@@ -77,8 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one case on one mesh")
-    p_solve.add_argument("--case", required=True,
-                         choices=["example1", "example2", "example3", "affine"])
+    p_solve.add_argument("--case", required=True, choices=CASE_NAMES)
     p_solve.add_argument("--mesh", required=True,
                          help="mesh source: hex:N, tet:N[:perturb], or file path")
     p_solve.add_argument("--lambda", dest="lambdas", required=True,
@@ -88,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_solve)
 
     p_conv = sub.add_parser("convergence", help="run a refinement study")
-    p_conv.add_argument("--case", required=True,
-                        choices=["example1", "example2", "example3", "affine"])
+    p_conv.add_argument("--case", required=True, choices=CASE_NAMES)
     p_conv.add_argument("--mesh-series", required=True,
                         help="comma list of mesh sources (kind:n or file paths)")
     p_conv.add_argument("--lambda", dest="lambdas", required=True,
@@ -187,7 +187,7 @@ def run_check_suite(mesh, seed: int = DEFAULT_SEED) -> list[tuple[str, bool, str
     rng = np.random.default_rng(seed)
     func = DiscreteFunction(dofmap, rng.standard_normal(dofmap.vector_size))
     average, gradient = face_reconstructions(mesh, func)
-    integrals = _integrals(mesh, "face", 4, lambda points, at: average[at] + np.einsum(
+    integrals = _integrals(mesh, "face", QUAD_DEGREE, lambda points, at: average[at] + np.einsum(
         "pij,pj->pi", gradient[at], points - mesh.face_centroid[at]))
     deviation = np.linalg.norm(integrals / mesh.face_area[:, None] - average, axis=1)
     worst = float(deviation.max(initial=0.0))

@@ -337,3 +337,16 @@ def test_negative_seed_is_a_flag_error(argv, monkeypatch, capsys):
     assert capsys.readouterr().err.endswith(
         "error: argument --seed: must be a nonnegative integer\n")
     assert build_parser().parse_args([*argv, "--seed", "0"]).seed == 0
+
+
+def test_case_choices_are_the_case_names():
+    import argparse
+
+    from polyelast.analysis import CASE_NAMES
+    from polyelast.cli import build_parser
+
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    for command in ("solve", "convergence"):
+        case = next(action for action in commands[command]._actions if action.dest == "case")
+        assert tuple(case.choices) == CASE_NAMES

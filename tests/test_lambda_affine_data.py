@@ -146,3 +146,32 @@ def test_one_pass_gives_each_part_as_it_would_be_alone(name, spec):
         assert np.array_equal(load[:, c], alone)
         assert np.array_equal(interpolant[:, c], interpolate(mesh, dofmap,
                                                              part("displacement", c)).values)
+
+
+@pytest.mark.parametrize("name", ["example2", "example3"])
+@pytest.mark.parametrize("lam", [1.0, 1e3, 1e8])
+@pytest.mark.parametrize("layout", ["C", "transposed"])
+def test_fused_strain_is_the_strain_part_plus_the_divergence_bit_for_bit(name, lam, layout):
+    # the fused strain and eps(a) come from one kernel, so they differ only
+    # by (k/lambda) cos(k x_i) on entry (i, i), added as the fused field adds it
+    rng = np.random.default_rng(19)
+    points = rng.uniform(-0.2, 1.2, size=(500, 3))
+    if layout == "transposed":
+        points = np.ascontiguousarray(points.T).T
+    case, k = manufactured_case(name, lam=lam), 2.0 * np.pi
+    expected = np.array(case.parts.strain(points)[..., 0])
+    for i in range(3):
+        expected[:, i, i] += (k / lam) * np.cos(np.multiply(points.T, k, order="C"))[i]
+    assert np.array_equal(case.strain(points), expected)
+
+
+def test_a_traction_alone_keeps_the_part_axis_where_no_face_carries_it():
+    mesh = generate_structured_mesh("tet", 2)
+    parts = manufactured_case("example2", lam=1.0).parts
+    tags = mesh.face_on_boundary.copy()  # no Neumann face
+    dofmap = DofMap(mesh, dirichlet_faces=tags)
+    bcs = BoundaryConditions(tags, neumann_data=parts.traction)
+    load = assemble_load(mesh, dofmap, bcs, None)
+    assert load.shape == (dofmap.vector_size, 2)
+    assert not load.any()
+    assert assemble_load(mesh, dofmap, bcs, parts.body_force).shape == load.shape
