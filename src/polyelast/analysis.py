@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import sys
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -53,6 +54,11 @@ from .space import (
     cell_fields,
     interpolate,
 )
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 logger = logging.getLogger(__name__)
 
@@ -599,6 +605,15 @@ def _lambda_free_data(mesh: Mesh, dofmap: DofMap, tags: np.ndarray, parts: Exact
     return load, interpolant, strain_gram(mesh, parts.strain)
 
 
+def _peak_rss() -> str:
+    """", peak RSS <MB>" of this process so far, or nothing where the
+    `resource` module is missing."""
+    if resource is None:
+        return ""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB, bytes on macOS
+    return f", peak RSS {peak / (2**20 if sys.platform == 'darwin' else 2**10):.1f} MB"
+
+
 def _warm_start(solved: Sequence[tuple[float, np.ndarray]], t: float):
     """A start for the mixed solve at t = 1/lambda: linear in t through the
     last two (t, `SolveResult.mixed`) of `solved`, the last one alone, or
@@ -665,15 +680,15 @@ def study_rows(case_name: str, mesh_sources: Sequence[MeshSource],
         check_setup(mesh, dofmap, BoundaryConditions(tags))
         start = time.perf_counter()
         split = assemble_split(mesh, dofmap, cases[0].material)  # at lambda = 0
-        logger.info("%s: lambda split built in %.2fs, nnz A0=%d D=%d, K=D^T W D",
-                    source.label, time.perf_counter() - start, split.full_a0.nnz,
-                    split.full_divergence.nnz)
+        logger.info("%s: lambda split built in %.2fs, nnz A0=%d D=%d, K=D^T W D%s",
+                    source.label, time.perf_counter() - start, *split.assembled_nnz,
+                    _peak_rss())
         start = time.perf_counter()
         load, interpolant, gram = _lambda_free_data(mesh, dofmap, tags, parts)
-        logger.info("%s: lambda-free exact data (%d parts) in %.2fs", source.label,
-                    load.shape[-1], time.perf_counter() - start)
+        logger.info("%s: lambda-free exact data (%d parts) in %.2fs%s", source.label,
+                    load.shape[-1], time.perf_counter() - start, _peak_rss())
         constrained = dofmap.constrained_indices
-        solved = []  # (t, mixed solution) of this mesh, for the warm starts
+        solved = []  # the last two (t, mixed solution) of this mesh, for the warm starts
         for lam, case in zip(lambdas, cases):
             start = time.perf_counter()
             lifting = dirichlet_lifting(mesh, dofmap, case.boundary_conditions(mesh))
@@ -681,7 +696,7 @@ def study_rows(case_name: str, mesh_sources: Sequence[MeshSource],
             guess = _warm_start(solved, 1.0 / lam) if system.split is not None else None
             result = solve_spd(system, solver_config, start=guess)
             if result.mixed is not None:
-                solved.append((1.0 / lam, result.mixed))
+                solved = solved[-1:] + [(1.0 / lam, result.mixed)]
             reference = at_lambda(interpolant, lam)
             reference[constrained] = lifting[constrained]
             err = relative_error(mesh, result.function, DiscreteFunction(dofmap, reference),

@@ -19,13 +19,19 @@ the reduced system.
 
 The matrix is assembled once per mesh as a `LambdaSplit` (`assemble_split`):
 A0, from one walk over the chunks, and the divergence map D of K = D^T W D,
-the balance of face fluxes, over all cells at once (`divergence_operator`).
-From the split at one lambda, `reduce_system` alone chooses the reduced system:
-with bubbles and lambda > 0 the split with its lambda-free loads, on whose
-mixed system [A0, D^T W; W D, -W/lambda] the solver works, so that
-A0 + lambda*K is formed only where it is read; the penalty matrix
+the balance of face fluxes, over the runs of cells (`divergence_operator`).
+The split keeps one copy of A0: it cuts from A0 and D, in runs of rows, only
+the blocks its reductions read, and neither A0 nor D outlives the cut.  With
+bubbles it forms the mixed matrix [A0_ff, D_f^T W; W D_f, 0] directly in
+CSR, as `sp.bmat` would but without its COO copy; without, it keeps A0_ff;
+on both paths A0_fc and the free and constrained columns of D, which carry
+the lifting.  From the split at one lambda, `reduce_system` alone chooses the
+reduced system: with bubbles and lambda > 0 the split with its lambda-free
+loads, on whose mixed system [A0, D^T W; W D, -W/lambda] the solver works,
+so that A0 + lambda*K is formed only where it is read; the penalty matrix
 A0_ff + lambda*K_ff in the no-bubble ablation, from free-free blocks formed
-once for the split; and A0_ff itself at lambda = 0.
+once for the split; and A0_ff itself at lambda = 0.  The unconstrained
+matrix, which only energy checks read, is re-assembled from the mesh.
 """
 
 from __future__ import annotations
@@ -38,13 +44,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .mesh import Mesh, _integrals, row_entries
+from .mesh import Mesh, _integrals, _runs, row_entries
 from .space import (
     QUAD_DEGREE,
     DofMap,
     MaterialParams,
     ReconstructionOperators,
-    cell_face_balance,
     cell_mean_operator,
     cell_runs,
     face_bubble_moments,
@@ -87,31 +92,59 @@ class BoundaryConditions:
         return np.flatnonzero(mesh.face_on_boundary & ~self.dirichlet_faces)
 
 
+# the most entries of A0 cut into the blocks of a `LambdaSplit` in one run of rows
+_CUT_ENTRIES = 1 << 15
+
+
 @dataclass(frozen=True)
 class LambdaSplit:
-    """The matrix A0 + lam * D^T W D kept split: unconstrained (`full_a0`,
-    `full_divergence`, D of shape (n_cells, N)), with W = diag(`volume`), the
-    cell volumes, and the shear modulus `mu`, for the `free` DOFs of a DofMap.
+    """The matrix A0 + lam * D^T W D kept split on the `free` DOFs of a
+    DofMap, with D (n_cells, N) the divergence map, W = diag(`volume`) the
+    cell volumes and `mu` the shear modulus.  The split keeps only the
+    blocks that its reductions read, cut once from A0 and D by `build`:
+    on the mixed path (bubbles) `mixed` = [A0_ff, D_f^T W; W D_f, 0], the
+    lambda-free part of the mixed matrix, whose leading block is A0_ff; in
+    the no-bubble ablation A0_ff itself (`a0_ff`); on both, A0_fc (`a0_fc`,
+    free rows, constrained columns), which carries the lifting, and the free
+    and constrained columns D_f and D_c of D (`divergence`, `divergence_c`).
+    No N x N matrix is kept: `assembled_nnz` counts the entries of the A0
+    and D cut, and `full`, where given, re-assembles them when the
+    unconstrained matrix is read (`penalty_matrix(full=True)`).
     `load_u` and `load_p` are the lambda-free loads of a reduced system:
-    b = load_u + lam * D_f^T load_p.  D_f (`divergence`), the lambda-free part
-    `mixed` = [A0_ff, D_f^T W; W D_f, 0] of the mixed matrix and K = D^T W D
-    are formed when first read, once for the split and every `at` of it."""
+    b = load_u + lam * D_f^T load_p.  K_ff and K_fc of K = D^T W D are formed
+    when first read, once for the split and every `at` of it."""
 
-    full_a0: sp.csr_matrix
-    full_divergence: sp.csr_matrix
     volume: np.ndarray
     mu: float
     free: np.ndarray
+    mixed: sp.csr_matrix | None
+    a0_ff: sp.csr_matrix | None
+    a0_fc: sp.csr_matrix
+    divergence: sp.csr_matrix
+    divergence_c: sp.csr_matrix
+    assembled_nnz: tuple[int, int]
     lam: float = 0.0
     load_u: np.ndarray | None = None
     load_p: np.ndarray | None = None
+    full: Callable | None = field(default=None, repr=False, compare=False)
     _formed: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def build(cls, full_a0: sp.csr_matrix, full_divergence: sp.csr_matrix,
+    def build(cls, a0: sp.csr_matrix, divergence: sp.csr_matrix,
               volume: np.ndarray, mu: float, dofmap: DofMap) -> "LambdaSplit":
-        """The split on the free DOFs of `dofmap`, reduced once for every lambda."""
-        return cls(full_a0, full_divergence, volume, float(mu), dofmap.free_indices)
+        """The split on the free DOFs of `dofmap`, reduced once for every
+        lambda: the blocks cut from A0 `a0` and D `divergence`, with `mixed`
+        where the map has bubbles (or, as an all-free map, no bubble flag)
+        and A0_ff where it has none."""
+        free = dofmap.free_indices
+        constrained = np.ones(a0.shape[1], dtype=bool)
+        constrained[free] = False
+        constrained = np.flatnonzero(constrained)
+        on_mixed = getattr(dofmap, "bubbles_enabled", True)
+        d_f, d_c = divergence[:, free].tocsr(), divergence[:, constrained].tocsr()
+        leading, a0_fc = _cut(a0, free, (sp.diags(volume) @ d_f).tocsr() if on_mixed else None)
+        return cls(volume, float(mu), free, leading if on_mixed else None,
+                   None if on_mixed else leading, a0_fc, d_f, d_c, (a0.nnz, divergence.nnz))
 
     def at(self, lam: float) -> "LambdaSplit":
         """The same split at another lambda (the blocks are shared)."""
@@ -123,33 +156,25 @@ class LambdaSplit:
         return self._formed[key]
 
     @property
-    def divergence(self) -> sp.csr_matrix:
-        return self._once("divergence", lambda: self.full_divergence[:, self.free].tocsr())
-
-    @property
-    def mixed(self) -> sp.csr_matrix:
-        def form():
-            weighted = (sp.diags(self.volume) @ self.divergence).tocsr()
-            return sp.bmat([[self.full_a0[self.free][:, self.free], weighted.T],
-                            [weighted, None]], format="csr")
-        return self._once("mixed", form)
-
-    @property
     def a0(self) -> sp.csr_matrix:
-        """A0_ff: the leading block of `mixed` where that is formed (the
+        """A0_ff: the leading block of `mixed` where that is kept (the
         solver's), otherwise a block of its own (the no-bubble ablation's)."""
-        if "mixed" in self._formed:
-            n = len(self.free)
-            return self.mixed[:n, :n]
-        return self._once("a0", lambda: self.full_a0[self.free][:, self.free].tocsr())
+        if self.mixed is None:
+            return self.a0_ff
+        n = len(self.free)
+        return self.mixed[:n, :n]
 
     def penalty_matrix(self, full: bool = False) -> sp.csr_matrix:
         """A0 + lam * D^T W D, on the free DOFs (A0_ff + lam * K_ff, from
-        blocks formed once for the split) or (`full`) unconstrained."""
-        a0, d = (self.full_a0, self.full_divergence) if full else (self.a0, self.divergence)
+        blocks formed once for the split) or (`full`) unconstrained, from A0
+        and D re-assembled by `full`."""
+        if full and self.full is None:
+            raise AssemblyError("the split has no unconstrained matrix to re-assemble")
+        a0, d = self.full() if full else (self.a0, self.divergence)
         if self.lam == 0:
             return a0
-        k = self._once(("k", full), lambda: d.T @ sp.diags(self.volume) @ d)
+        k = (d.T @ sp.diags(self.volume) @ d if full
+             else self._once("k", lambda: d.T @ sp.diags(self.volume) @ d))
         return (a0 + self.lam * k).tocsr()
 
     def coupling(self) -> sp.csr_matrix:
@@ -157,14 +182,79 @@ class LambdaSplit:
         which carries the lifting into the load, from blocks formed once for
         the split; each entry and each row sum rounds as in the unconstrained
         matrix."""
-        constrained = self._once("constrained", lambda: np.setdiff1d(
-            np.arange(self.full_a0.shape[1]), self.free))
-        a0 = self._once("a0_fc", lambda: self.full_a0[self.free][:, constrained].tocsr())
         if self.lam == 0:
-            return a0
+            return self.a0_fc
         k = self._once("k_fc", lambda: self.divergence.T @ sp.diags(self.volume)
-                       @ self.full_divergence[:, constrained])
-        return (a0 + self.lam * k).tocsr()
+                       @ self.divergence_c)
+        return (self.a0_fc + self.lam * k).tocsr()
+
+
+def _cut(a0: sp.csr_matrix, free: np.ndarray, weighted: sp.csr_matrix | None):
+    """A0_ff, or with `weighted` = W D_f the mixed matrix [A0_ff, weighted^T;
+    weighted, 0], and A0_fc, cut from `a0` in runs of rows into arrays
+    allocated once; A0_ff and A0_fc keep the order of their entries in `a0`.  For
+    an `a0` with sorted indices, as `assemble_matrix` gives, the mixed
+    matrix holds the arrays that `sp.bmat` makes of these blocks, entry for
+    entry, without its COO copy."""
+    n_rows, n = a0.shape[0], len(free)
+    is_free = np.zeros(n_rows, dtype=bool)
+    is_free[free] = True
+    # the column of every DOF in its block: free, or constrained
+    column = np.cumsum(is_free) - 1
+    column[~is_free] = np.arange(n_rows - n)
+    sizes = np.diff(a0.indptr)
+    # per run of rows, its free rows: consecutive rows of the blocks
+    runs = [(lo, hi, *np.searchsorted(free, [lo, hi])) for lo, hi in _runs(sizes, _CUT_ENTRIES)]
+    in_free = np.zeros(n, dtype=np.int64)  # per free row, its entries in free columns
+    for lo, hi, first, last in runs:
+        seen = np.concatenate([[0], np.cumsum(is_free[a0.indices[a0.indptr[lo]:a0.indptr[hi]]])])
+        ends = a0.indptr[lo:hi + 1] - a0.indptr[lo]
+        in_free[first:last] = (seen[ends[1:]] - seen[ends[:-1]])[is_free[lo:hi]]
+    if weighted is None:
+        tail, lower = np.zeros(n, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    else:
+        weighted.sort_indices()
+        transposed = weighted.T.tocsr()  # its rows sorted by cell
+        tail, lower = np.diff(transposed.indptr), np.diff(weighted.indptr)
+    leading = _csr_arrays(np.concatenate([in_free + tail, lower]), n + len(lower))
+    in_constrained = sizes[free] - in_free
+    a0_fc = _csr_arrays(in_constrained, n_rows - n)
+    if weighted is not None:
+        indptr, indices, data = leading
+        indices[indptr[n]:], data[indptr[n]:] = weighted.indices, weighted.data
+        del weighted  # made for this call alone: released before the rows are cut
+    for lo, hi, first, last in runs:
+        cut = slice(a0.indptr[lo], a0.indptr[hi])
+        free_row = np.repeat(is_free[lo:hi], sizes[lo:hi])
+        free_column = is_free[a0.indices[cut]]
+        for (indptr, indices, data), counts, mask in (
+                (leading, in_free, free_row & free_column),
+                (a0_fc, in_constrained, free_row & ~free_column)):
+            at = _positions(indptr[first:last], counts[first:last])
+            indices[at], data[at] = column[a0.indices[cut][mask]], a0.data[cut][mask]
+        if len(lower):  # the rows of weighted^T after those of A0_ff
+            indptr, indices, data = leading
+            at = _positions(indptr[first:last] + in_free[first:last], tail[first:last])
+            entries = slice(transposed.indptr[first], transposed.indptr[last])
+            indices[at], data[at] = n + transposed.indices[entries], transposed.data[entries]
+    return (sp.csr_matrix(leading[::-1], shape=(n + len(lower),) * 2),
+            sp.csr_matrix(a0_fc[::-1], shape=(n, n_rows - n)))
+
+
+def _csr_arrays(row_sizes: np.ndarray, n_columns: int):
+    """(indptr, indices, data) of a CSR matrix with rows of `row_sizes`
+    entries and `n_columns` columns, the indices and the data to be filled."""
+    size = int(row_sizes.sum())
+    index = np.int32 if max(size, len(row_sizes), n_columns) < 2**31 else np.int64
+    indptr = np.zeros(len(row_sizes) + 1, dtype=index)
+    np.cumsum(row_sizes, out=indptr[1:])
+    return indptr, np.empty(size, dtype=index), np.empty(size)
+
+
+def _positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions, in a CSR matrix, of the consecutive entries of rows whose
+    entries begin at `starts`, `counts` of them per row."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 class SparseSystem:
@@ -175,8 +265,8 @@ class SparseSystem:
     `full_matrix` keeps the unconstrained operator for energy checks and for
     recovering reduced right-hand sides.  A system reduced from a
     `LambdaSplit` (`source`) may be given no matrices: they are formed from
-    the split when first read.  `split` is that split with its loads where
-    the system is solved on the mixed form.
+    the split when first read, the unconstrained one re-assembled.  `split`
+    is that split with its loads where the system is solved on the mixed form.
     """
 
     def __init__(self, matrix: sp.csr_matrix | None, load: np.ndarray,
@@ -319,18 +409,73 @@ def divergence_operator(mesh: Mesh) -> sp.csr_matrix:
     """D (n_cells, N), the divergence of every cell as a map of the DOF vector
     (K = D^T W D): the balance of its face fluxes W^-1 C Phi, the trace of G by
     the divergence theorem.  Phi (n_faces, N) maps the DOF vector to the fluxes
-    |f| (n_f . sum_v w_fv u_v + b_f); C holds the signs of each cell's faces."""
-    face = np.repeat(np.arange(mesh.n_faces), np.diff(mesh.face_loop_offsets))
-    bubbles = 3 * mesh.face_loop_offsets[1:]  # each face's bubble after its vertex entries
-    data = np.insert(((mesh.face_area[face] * mesh._face_weights)[:, None]
-                      * mesh.face_normal[face]).ravel(), bubbles, mesh.face_area)
+    |f| (n_f . sum_v w_fv u_v + b_f); C holds the signs of each cell's faces.
+    D is built over the `cell_runs`, its rows, each run from the fluxes of its
+    own faces on the DOFs they read, into arrays allocated once for the
+    distinct DOFs of every cell, so that its transient does not grow with the
+    mesh; every row sums and orders its entries as the product over all cells
+    does, and drops its zero sums as that does."""
+    c_off, n_dofs = mesh.cell_face_offsets, 3 * mesh.n_vertices + mesh.n_faces
+    size = 3 * len(mesh.cell_vertex_ids) + len(mesh.cell_face_ids)  # at most, in all rows
     # int32, the index type scipy keeps below 2**31 DOFs, so that it makes no copy
-    indices = np.insert((3 * mesh.face_loop_vertices[:, None] + np.arange(3)).astype(np.int32)
-                        .ravel(), bubbles, 3 * mesh.n_vertices + np.arange(mesh.n_faces))
-    flux = sp.csr_matrix(
-        (data, indices, 3 * mesh.face_loop_offsets + np.arange(mesh.n_faces + 1)),
-        shape=(mesh.n_faces, 3 * mesh.n_vertices + mesh.n_faces))
-    return cell_face_balance(mesh) @ flux
+    index = np.int32 if max(size, n_dofs) < 2**31 else np.int64
+    indptr = np.zeros(mesh.n_cells + 1, dtype=index)
+    indices, data = np.empty(size, dtype=index), np.empty(size)
+    bound = max(mesh.n_vertices, mesh.n_faces)
+    seen, slot = np.zeros(bound, dtype=bool), np.empty(bound, dtype=index)
+
+    def renumber(ids):
+        """The distinct `ids` (vertex or face ids), ascending, and the
+        position of each id among them, marking only the range they span."""
+        low = ids.min()
+        window = seen[low:ids.max() + 1]
+        window[ids - low] = True
+        distinct = np.flatnonzero(window)
+        window[distinct] = False
+        slot[distinct] = np.arange(len(distinct))
+        return low + distinct, slot[ids - low]
+
+    for lo, hi in list(cell_runs(mesh)):  # `cell_runs`' arrays released first
+        faces, local = renumber(mesh.cell_face_ids[c_off[lo]:c_off[hi]])
+        balance = sp.csr_matrix(
+            (mesh.cell_face_signs[c_off[lo]:c_off[hi]]
+             / np.repeat(mesh.cell_volume[lo:hi], np.diff(c_off[lo:hi + 1])),
+             local, c_off[lo:hi + 1] - c_off[lo]), shape=(hi - lo, len(faces)))
+        dofs, flux = _face_fluxes(mesh, faces, renumber)
+        rows = balance @ flux
+        del balance, flux
+        start = indptr[lo]
+        indptr[lo + 1:hi + 1] = start + rows.indptr[1:]
+        np.take(dofs, rows.indices, out=indices[start:indptr[hi]])
+        data[start:indptr[hi]] = rows.data
+        del rows  # before the next run's fluxes
+    indices.resize(indptr[-1], refcheck=False)  # fewer where a sum was zero
+    data.resize(indptr[-1], refcheck=False)
+    return sp.csr_matrix((data, indices, indptr), shape=(mesh.n_cells, n_dofs))
+
+
+def _face_fluxes(mesh: Mesh, faces: np.ndarray, renumber: Callable):
+    """The DOFs that the fluxes of `faces` (distinct, ascending) read,
+    ascending, and the rows of Phi for those faces on those DOFs: each face's
+    vertex entries in loop order, then its bubble.  `renumber` numbers the
+    vertices."""
+    first = mesh.face_loop_offsets[faces]
+    sizes = mesh.face_loop_offsets[faces + 1] - first
+    ends = np.cumsum(sizes)
+    face = np.repeat(np.arange(len(faces)), sizes)
+    loop = np.arange(ends[-1]) + np.repeat(first - ends + sizes, sizes)
+    bubbles = 3 * ends  # each face's bubble after its vertex entries
+    area = mesh.face_area[faces]
+    data = np.insert(((area[face] * mesh._face_weights[loop])[:, None]
+                      * mesh.face_normal[faces[face]]).ravel(), bubbles, area)
+    vertices, at = renumber(mesh.face_loop_vertices[loop])
+    del loop, face
+    columns = np.insert((3 * at[:, None] + np.arange(3)).ravel(), bubbles,
+                        3 * len(vertices) + np.arange(len(faces)))
+    dofs = np.concatenate([(3 * vertices[:, None] + np.arange(3)).ravel(),
+                           3 * mesh.n_vertices + faces])
+    offsets = np.concatenate([[0], bubbles + np.arange(1, len(faces) + 1)])
+    return dofs, sp.csr_matrix((data, columns, offsets), shape=(len(faces), len(dofs)))
 
 
 def assemble_load(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions,
@@ -407,21 +552,24 @@ def reduce_system(full_matrix: sp.csr_matrix | LambdaSplit, full_load: np.ndarra
     """Eliminate constrained DOFs by lifting.  Given a `LambdaSplit` (built on
     `dofmap`) for the matrix: with bubbles and lambda > 0 the system carries
     the split with its lambda-free loads, load = load_u + lambda D_f^T load_p,
-    and forms no matrix; otherwise its matrix is A0_ff + lambda*K_ff from
-    the split's blocks (the no-bubble ablation), or A0_ff at lambda = 0, its
-    lifting enters the load through the split's `coupling`, and the
-    unconstrained matrix is formed when read."""
+    load_u = b_f - A0_fc g_c and load_p = -W D_c g_c for the lifting g, and
+    forms no matrix; otherwise its matrix is A0_ff + lambda*K_ff from the
+    split's blocks (the no-bubble ablation), or A0_ff at lambda = 0, and its
+    lifting enters the load through the split's `coupling`.  The lifting is
+    zero on the free DOFs, so each row sum rounds as in the unconstrained
+    product: it drops only zero products.  The unconstrained matrix of a
+    split system is re-assembled when read."""
     free = dofmap.free_indices
     if isinstance(full_matrix, LambdaSplit):
-        split = full_matrix
+        split, lifted = full_matrix, lifting[dofmap.constrained_indices]
         if dofmap.bubbles_enabled and split.lam > 0:
-            load_u = full_load[free] - (split.full_a0 @ lifting)[free]
-            load_p = -split.volume * (split.full_divergence @ lifting)
+            load_u = full_load[free] - split.a0_fc @ lifted
+            load_p = -split.volume * (split.divergence_c @ lifted)
             return SparseSystem(
                 None, load_u + split.lam * (split.divergence.T @ load_p), lifting, free,
                 dofmap.constrained_indices, dofmap, None, full_load,
                 split=replace(split, load_u=load_u, load_p=load_p))
-        load = full_load[free] - split.coupling() @ lifting[dofmap.constrained_indices]
+        load = full_load[free] - split.coupling() @ lifted
         return SparseSystem(split.penalty_matrix(), load, lifting, free,
                             dofmap.constrained_indices, dofmap, None, full_load, source=split)
     reduced = full_matrix[free][:, free].tocsr()
@@ -439,11 +587,17 @@ def reduce_system(full_matrix: sp.csr_matrix | LambdaSplit, full_load: np.ndarra
 
 
 def assemble_split(mesh: Mesh, dofmap: DofMap, material: MaterialParams) -> LambdaSplit:
-    """The `LambdaSplit` of the matrix on `dofmap`, at lambda = 0: A0
-    (`assemble_matrix` at lambda = 0) and D (`divergence_operator`)."""
-    a0 = assemble_matrix(mesh, dofmap, replace(material, lam=0.0))
-    return LambdaSplit.build(a0, divergence_operator(mesh), mesh.cell_volume, material.mu,
-                             dofmap)
+    """The `LambdaSplit` of the matrix on `dofmap`, at lambda = 0: its blocks
+    of A0 (`assemble_matrix` at lambda = 0) and D (`divergence_operator`),
+    neither of which outlives the split's `build`; both are re-assembled
+    where the unconstrained matrix is read."""
+    a0_material = replace(material, lam=0.0)
+
+    def unconstrained():
+        return assemble_matrix(mesh, dofmap, a0_material), divergence_operator(mesh)
+
+    split = LambdaSplit.build(*unconstrained(), mesh.cell_volume, material.mu, dofmap)
+    return replace(split, full=unconstrained)
 
 
 def assemble(mesh: Mesh, dofmap: DofMap, material: MaterialParams,

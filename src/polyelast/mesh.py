@@ -24,7 +24,7 @@ from __future__ import annotations
 import io
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from typing import Callable, TextIO
 
 import numpy as np
@@ -118,7 +118,7 @@ def _csr(rows):
     if isinstance(rows, Rows):
         return rows.offsets, rows.flat
     if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        return rows.shape[1] * np.arange(len(rows) + 1), rows.astype(int).ravel()
+        return rows.shape[1] * np.arange(len(rows) + 1), np.asarray(rows, dtype=int).ravel()
     rows = [np.asarray(r, dtype=int) for r in rows]
     offsets = np.zeros(len(rows) + 1, dtype=int)
     np.cumsum([len(r) for r in rows], out=offsets[1:])
@@ -183,13 +183,30 @@ def _fan(offsets: np.ndarray, loops: np.ndarray):
     return tris, owner, tri_offsets
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`np.cross` of two (n, 3) arrays, bit for bit (each component the
+    difference of two rounded products), without copies of its operands."""
+    out = np.empty((len(u), 3))
+    product = np.empty(len(u))
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        np.multiply(u[:, i], v[:, j], out=out[:, k])
+        out[:, k] -= np.multiply(u[:, j], v[:, i], out=product)
+    return out
+
+
 def _diameters(positions: np.ndarray, offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Largest vertex-to-vertex distance of every row of a CSR vertex array."""
+    """Largest vertex-to-vertex distance of every row of a CSR vertex array:
+    the square root of the largest squared distance (dx^2 + dy^2) + dz^2
+    over the pairs of its vertices, one pair at a time."""
     out = np.zeros(len(offsets) - 1)
     for rows, entries in _groups(offsets):
         pos = positions[ids[entries]]
-        diff = pos[:, :, None, :] - pos[:, None, :, :]
-        out[rows] = np.sqrt((diff**2).sum(axis=3)).max(axis=(1, 2))
+        largest = np.zeros(len(rows))
+        for i, j in combinations(range(entries.shape[1]), 2):
+            squares = np.square(pos[:, i] - pos[:, j])
+            np.maximum(largest, (squares[:, 0] + squares[:, 1]) + squares[:, 2], out=largest)
+        out[rows] = np.sqrt(largest)
     return out
 
 
@@ -334,11 +351,12 @@ class Mesh:
         )
 
     def _compute_face_geometry(self):
+        # each temporary is released once consumed, so that the transient
+        # stays near the arrays the mesh keeps
         off, loops = self.face_loop_offsets, self.face_loop_vertices
-        owner = _owner(off)
         tris, _, tri_off = _fan(off, loops)
         a, b, c = (self.positions[tris[:, k]] for k in range(3))
-        cross = np.cross(b - a, c - a)
+        cross = _cross(b - a, c - a)
         vec_area = 0.5 * _row_sums(cross, tri_off)
         # rounds as `np.linalg.norm` of a single vector does
         vec_norm = np.sqrt((vec_area[:, None, :] @ vec_area[:, :, None])[:, 0, 0])
@@ -347,18 +365,25 @@ class Mesh:
                      "face {}: geometry overflows (coordinates too large)".format))
         if np.any(vec_norm == 0.0):  # degenerate, or distinct points whose squared
             # area falls below the double range
-            spread = np.abs(self.positions[loops] - self.positions[loops[off[:-1]]][owner])
+            spread = np.abs(self.positions[loops] - self.positions[loops[off[:-1]]][_owner(off)])
             extent = np.maximum.reduceat(spread.max(axis=1), off[:-1])
             _raise_first(((vec_norm == 0.0) & (extent > 0.0) & (extent < _TINY_LENGTH),
                           "face {}: geometry underflows (coordinates too small)".format))
         normal = vec_area / vec_norm[:, None]
+        del vec_area
         tri_signed = np.zeros(len(tris))
         for rows, entries in _groups(tri_off):  # stacked products add as `cross @ normal`
             tri_signed[entries] = 0.5 * (cross[entries] @ normal[rows, :, None])[..., 0]
+        del cross
         area = _row_sums(tri_signed, tri_off)
-        centroid = (_row_sums(tri_signed[:, None] * ((a + b + c) / 3.0), tri_off)
-                    / area[:, None])
+        a += b
+        a += c
+        del b, c
+        a /= 3.0  # the fan triangles' centroids, (a + b + c) / 3
+        centroid = _row_sums(tri_signed[:, None] * a, tri_off) / area[:, None]
+        del a
         pos = self.positions[loops]
+        owner = _owner(off)
         offset = np.maximum.reduceat(
             np.abs(np.einsum("ij,ij->i", pos - centroid[owner], normal[owner])), off[:-1])
         tol = PLANARITY_RTOL * diam
@@ -369,7 +394,8 @@ class Mesh:
                                        degenerate | non_planar)
         nxt = np.arange(1, len(loops) + 1)
         nxt[off[1:] - 1] = off[:-1]
-        tangents = pos[nxt] - pos
+        tangents = pos[nxt]
+        tangents -= pos
         lengths = np.linalg.norm(tangents, axis=1)
         _raise_first(
             (degenerate, "degenerate face {} (vanishing area)".format),
@@ -388,8 +414,13 @@ class Mesh:
         self._face_weights = weights
         self._loop_next = nxt
         self._edge_lengths = lengths
-        self._edge_midpoints = 0.5 * (pos + pos[nxt])
-        self._edge_normals = np.cross(tangents / lengths[:, None], normal[owner])
+        midpoints = pos[nxt]
+        midpoints += pos
+        midpoints *= 0.5
+        del pos
+        self._edge_midpoints = midpoints
+        tangents /= lengths[:, None]
+        self._edge_normals = _cross(tangents, normal[owner])
 
     def _build_adjacency(self):
         count = np.bincount(self.cell_face_ids, minlength=self.n_faces)
@@ -410,6 +441,7 @@ class Mesh:
         self.vertex_on_boundary = vb
 
     def _compute_cell_geometry(self):
+        # each temporary is released once consumed, as in the face geometry
         positions = self.positions
         f_off, c_off = self.face_loop_offsets, self.cell_face_offsets
         faces = self.cell_face_ids
@@ -418,28 +450,39 @@ class Mesh:
         # its fan triangles have the cell's outward normal
         sizes = np.diff(f_off)[faces]
         e_off = np.concatenate([[0], np.cumsum(sizes)])
-        start = np.repeat(f_off[faces], sizes)
         j = np.arange(e_off[-1]) - np.repeat(e_off[:-1], sizes)
         j = np.where(np.repeat(self.cell_face_signs > 0, sizes), j,
                      np.repeat(sizes, sizes) - 1 - j)
-        loops = self.face_loop_vertices[start + j]
+        j += np.repeat(f_off[faces], sizes)
+        loops = self.face_loop_vertices[j]
+        del j
         keys = np.unique(np.repeat(entry_cell, sizes) * self.n_vertices + loops)
+        del sizes
         vertex_cell, vertex_ids = np.divmod(keys, self.n_vertices)
+        del keys
         v_off = np.concatenate([[0], np.cumsum(np.bincount(vertex_cell,
                                                            minlength=self.n_cells))])
+        del vertex_cell
         nv = np.diff(v_off)
         diam = _diameters(positions, v_off, vertex_ids)
         apex = _row_sums(positions[vertex_ids], v_off) / nv[:, None]
         # sub-tets (fan triangle, vertex mean) of every cell
         tris, tri_entry, tri_off = _fan(e_off, loops)
+        del loops, e_off
         tri_apex = apex[entry_cell[tri_entry]]
-        corners = positions[tris]
-        d = corners - tri_apex[:, None, :]
-        v6 = np.einsum("ij,ij->i", np.cross(d[:, 0], d[:, 1]), d[:, 2])
+        del tri_entry, entry_cell
+        d = positions[tris]
+        corner_sum = d.sum(axis=1)
+        d -= tri_apex[:, None, :]  # the corners less the apex
+        v6 = np.einsum("ij,ij->i", _cross(d[:, 0], d[:, 1]), d[:, 2])
+        del d
         # summed per face, then over the faces of the cell
         vol = _row_sums(_row_sums(v6, tri_off) / 6.0, c_off)
-        tet_centroids = (tri_apex + corners.sum(axis=1)) / 4.0
-        moment = _row_sums(_row_sums(v6[:, None] / 6.0 * tet_centroids, tri_off), c_off)
+        tri_apex += corner_sum
+        del corner_sum
+        tri_apex /= 4.0  # the sub-tets' centroids, (apex + corners) / 4
+        moment = _row_sums(_row_sums(v6[:, None] / 6.0 * tri_apex, tri_off), c_off)
+        del tri_apex, v6
         centroid = moment / vol[:, None]
         _raise_first((~np.isfinite(vol) | ~np.isfinite(moment).all(axis=1)
                       | ~np.isfinite(diam),
@@ -638,7 +681,13 @@ def _check_end(lines: list, n: int, what: str):
 
 def parse_polymesh(source) -> Mesh:
     """Parse the POLYMESH text format from a string, path-free stream, or
-    iterable of lines, block by block; an error names the lowest bad line."""
+    iterable of lines, block by block; an error names the lowest bad line.
+    The lines are released before the geometry is computed."""
+    return Mesh(*_read_polymesh(source))
+
+
+def _read_polymesh(source):
+    """The (positions, face loops, cell faces, cell signs) of POLYMESH text."""
     lines = _meaningful_lines(source)
     _check_end(lines, 1, "header")
     if lines[0].split() != ["POLYMESH", "1"]:
@@ -687,8 +736,8 @@ def parse_polymesh(source) -> Mesh:
 
     if len(lines) > start[3]:
         raise MeshFormatError(f"trailing content after cell list: {lines[start[3]]!r}")
-    return Mesh(coords.reshape(n_v, 3), Rows(loops, loop_offsets),
-                Rows(np.abs(signed) - 1, cell_offsets), Rows(np.sign(signed), cell_offsets))
+    return (coords.reshape(n_v, 3), Rows(loops, loop_offsets),
+            Rows(np.abs(signed) - 1, cell_offsets), Rows(np.sign(signed), cell_offsets))
 
 
 def _counted_text(values: np.ndarray, offsets: np.ndarray) -> str:
@@ -730,7 +779,9 @@ def generate_structured_mesh(kind: str, n: int, perturb: float = 0.0,
     uniform offset in (-d, d) with d = perturb/(2n), using the given seed.
     """
     check_structured_spec(kind, n, perturb)
-    return _generate_hex(n) if kind == "hex" else _generate_tet(n, perturb, seed)
+    # the generators return only the topology, so that their temporaries
+    # are released before the geometry is computed
+    return Mesh(*(_hex_topology(n) if kind == "hex" else _tet_topology(n, perturb, seed)))
 
 
 def check_structured_spec(kind: str, n: int, perturb: float = 0.0):
@@ -761,7 +812,7 @@ _HEX_FACE_CORNERS = (
 )
 
 
-def _generate_hex(n: int) -> Mesh:
+def _hex_topology(n: int):
     grid = np.arange((n + 1) ** 3).reshape(n + 1, n + 1, n + 1).transpose()  # [i, j, k]
     face_loops = []
     face_ids = []  # per family, the face id at [i, j, k]
@@ -780,10 +831,10 @@ def _generate_hex(n: int) -> Mesh:
     cell_faces = np.stack([fx[:-1], fx[1:], fy[:, :-1], fy[:, 1:], fz[..., :-1], fz[..., 1:]],
                           axis=-1).transpose(2, 1, 0, 3).reshape(-1, 6)
     cell_signs = np.tile([-1, 1, -1, 1, -1, 1], (n**3, 1))
-    return Mesh(_grid_positions(n), np.vstack(face_loops), cell_faces, cell_signs)
+    return _grid_positions(n), np.vstack(face_loops), cell_faces, cell_signs
 
 
-def _generate_tet(n: int, perturb: float, seed: int) -> Mesh:
+def _tet_topology(n: int, perturb: float, seed: int):
     positions = _grid_positions(n)
     if perturb > 0.0:
         rng = np.random.default_rng(seed)
@@ -806,7 +857,7 @@ def _generate_tet(n: int, perturb: float, seed: int) -> Mesh:
     tri = tets[:, local[:, :3]].reshape(-1, 3)
     a, b, c = (positions[tri[:, k]] for k in range(3))
     opposite = positions[tets[:, local[:, 3]].ravel()]
-    outward = np.einsum("ij,ij->i", np.cross(b - a, c - a), opposite - a) < 0
+    outward = np.einsum("ij,ij->i", _cross(b - a, c - a), opposite - a) < 0
     loops = np.where(outward[:, None], tri, tri[:, [0, 2, 1]])
 
     # faces are numbered in order of first occurrence, with sign +1 there
@@ -817,7 +868,7 @@ def _generate_tet(n: int, perturb: float, seed: int) -> Mesh:
     inverse = inverse.ravel()
     cell_faces = rank[inverse].reshape(-1, 4)
     cell_signs = np.where(first[inverse] == np.arange(len(tri)), 1, -1).reshape(-1, 4)
-    return Mesh(positions, loops[first[by_first]], cell_faces, cell_signs)
+    return positions, loops[first[by_first]], cell_faces, cell_signs
 
 
 # -- validation ---------------------------------------------------------------
