@@ -461,10 +461,8 @@ def _face_fluxes(mesh: Mesh, faces: np.ndarray, renumber: Callable):
     vertices."""
     first = mesh.face_loop_offsets[faces]
     sizes = mesh.face_loop_offsets[faces + 1] - first
-    ends = np.cumsum(sizes)
-    face = np.repeat(np.arange(len(faces)), sizes)
-    loop = np.arange(ends[-1]) + np.repeat(first - ends + sizes, sizes)
-    bubbles = 3 * ends  # each face's bubble after its vertex entries
+    loop, face = _positions(first, sizes), np.repeat(np.arange(len(faces)), sizes)
+    bubbles = 3 * np.cumsum(sizes)  # each face's bubble after its vertex entries
     area = mesh.face_area[faces]
     data = np.insert(((area[face] * mesh._face_weights[loop])[:, None]
                       * mesh.face_normal[faces[face]]).ravel(), bubbles, area)
