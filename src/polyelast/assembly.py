@@ -207,9 +207,10 @@ def _cut(a0: sp.csr_matrix, free: np.ndarray, weighted: sp.csr_matrix | None):
     runs = [(lo, hi, *np.searchsorted(free, [lo, hi])) for lo, hi in _runs(sizes, _CUT_ENTRIES)]
     in_free = np.zeros(n, dtype=np.int64)  # per free row, its entries in free columns
     for lo, hi, first, last in runs:
-        seen = np.concatenate([[0], np.cumsum(is_free[a0.indices[a0.indptr[lo]:a0.indptr[hi]]])])
+        to_free = is_free[a0.indices[a0.indptr[lo]:a0.indptr[hi]]]
+        counted = np.concatenate([[0], np.cumsum(to_free)])
         ends = a0.indptr[lo:hi + 1] - a0.indptr[lo]
-        in_free[first:last] = (seen[ends[1:]] - seen[ends[:-1]])[is_free[lo:hi]]
+        in_free[first:last] = (counted[ends[1:]] - counted[ends[:-1]])[is_free[lo:hi]]
     if weighted is None:
         tail, lower = np.zeros(n, dtype=np.int64), np.zeros(0, dtype=np.int64)
     else:
