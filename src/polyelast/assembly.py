@@ -93,7 +93,7 @@ class BoundaryConditions:
 
 
 # the most entries of A0 cut into the blocks of a `LambdaSplit` in one run of rows
-_CUT_ENTRIES = 1 << 15
+_CUT_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -191,26 +191,29 @@ class LambdaSplit:
 
 def _cut(a0: sp.csr_matrix, free: np.ndarray, weighted: sp.csr_matrix | None):
     """A0_ff, or with `weighted` = W D_f the mixed matrix [A0_ff, weighted^T;
-    weighted, 0], and A0_fc, cut from `a0` in runs of rows into arrays
-    allocated once; A0_ff and A0_fc keep the order of their entries in `a0`.  For
-    an `a0` with sorted indices, as `assemble_matrix` gives, the mixed
-    matrix holds the arrays that `sp.bmat` makes of these blocks, entry for
-    entry, without its COO copy."""
+    weighted, 0], and A0_fc, cut from the free rows of `a0` in runs into
+    arrays allocated once; A0_ff and A0_fc keep the order of their entries in
+    `a0`.  For an `a0` with sorted indices, as `assemble_matrix` gives, the
+    mixed matrix holds the arrays that `sp.bmat` makes of these blocks, entry
+    for entry, without its COO copy."""
     n_rows, n = a0.shape[0], len(free)
     is_free = np.zeros(n_rows, dtype=bool)
     is_free[free] = True
     # the column of every DOF in its block: free, or constrained
     column = np.cumsum(is_free) - 1
     column[~is_free] = np.arange(n_rows - n)
-    sizes = np.diff(a0.indptr)
-    # per run of rows, its free rows: consecutive rows of the blocks
-    runs = [(lo, hi, *np.searchsorted(free, [lo, hi])) for lo, hi in _runs(sizes, _CUT_ENTRIES)]
+    sizes = np.diff(a0.indptr)[free]  # the entries of each free row
+    runs = list(_runs(sizes, _CUT_ENTRIES))  # of consecutive free rows
+
+    def entries(first, last):
+        """Positions in `a0` of the entries of free rows [first, last)."""
+        return _positions(a0.indptr[free[first:last]], sizes[first:last])
+
     in_free = np.zeros(n, dtype=np.int64)  # per free row, its entries in free columns
-    for lo, hi, first, last in runs:
-        to_free = is_free[a0.indices[a0.indptr[lo]:a0.indptr[hi]]]
-        counted = np.concatenate([[0], np.cumsum(to_free)])
-        ends = a0.indptr[lo:hi + 1] - a0.indptr[lo]
-        in_free[first:last] = (counted[ends[1:]] - counted[ends[:-1]])[is_free[lo:hi]]
+    for first, last in runs:
+        counted = np.concatenate([[0], np.cumsum(is_free[a0.indices[entries(first, last)]])])
+        ends = np.concatenate([[0], np.cumsum(sizes[first:last])])
+        in_free[first:last] = counted[ends[1:]] - counted[ends[:-1]]
     if weighted is None:
         tail, lower = np.zeros(n, dtype=np.int64), np.zeros(0, dtype=np.int64)
     else:
@@ -218,26 +221,25 @@ def _cut(a0: sp.csr_matrix, free: np.ndarray, weighted: sp.csr_matrix | None):
         transposed = weighted.T.tocsr()  # its rows sorted by cell
         tail, lower = np.diff(transposed.indptr), np.diff(weighted.indptr)
     leading = _csr_arrays(np.concatenate([in_free + tail, lower]), n + len(lower))
-    in_constrained = sizes[free] - in_free
+    in_constrained = sizes - in_free
     a0_fc = _csr_arrays(in_constrained, n_rows - n)
     if weighted is not None:
         indptr, indices, data = leading
         indices[indptr[n]:], data[indptr[n]:] = weighted.indices, weighted.data
         del weighted  # made for this call alone: released before the rows are cut
-    for lo, hi, first, last in runs:
-        cut = slice(a0.indptr[lo], a0.indptr[hi])
-        free_row = np.repeat(is_free[lo:hi], sizes[lo:hi])
-        free_column = is_free[a0.indices[cut]]
-        for (indptr, indices, data), counts, mask in (
-                (leading, in_free, free_row & free_column),
-                (a0_fc, in_constrained, free_row & ~free_column)):
+    for first, last in runs:
+        at = entries(first, last)
+        columns, values = a0.indices[at], a0.data[at]
+        to_free = is_free[columns]
+        for (indptr, indices, data), counts, mask in ((leading, in_free, to_free),
+                                                      (a0_fc, in_constrained, ~to_free)):
             at = _positions(indptr[first:last], counts[first:last])
-            indices[at], data[at] = column[a0.indices[cut][mask]], a0.data[cut][mask]
+            indices[at], data[at] = column[columns[mask]], values[mask]
         if len(lower):  # the rows of weighted^T after those of A0_ff
             indptr, indices, data = leading
             at = _positions(indptr[first:last] + in_free[first:last], tail[first:last])
-            entries = slice(transposed.indptr[first], transposed.indptr[last])
-            indices[at], data[at] = n + transposed.indices[entries], transposed.data[entries]
+            cells = slice(transposed.indptr[first], transposed.indptr[last])
+            indices[at], data[at] = n + transposed.indices[cells], transposed.data[cells]
     return (sp.csr_matrix(leading[::-1], shape=(n + len(lower),) * 2),
             sp.csr_matrix(a0_fc[::-1], shape=(n, n_rows - n)))
 
