@@ -35,8 +35,9 @@ PLANARITY_RTOL = 1e-9
 DEGENERATE_AREA_RTOL = 1e-14
 # below this extent the squared area of a face underflows the normal double range
 _TINY_LENGTH = np.finfo(float).tiny ** 0.25
-# `_convex_weights` (and its batched first solve in `_weights`): uniform weights
-# within this relative distance, the largest relative residual, the least weight
+# `_convex_weights`: uniform weights within this relative distance, the largest
+# residual in global units (relative to max(diameter, 1), so that a face planar
+# only to PLANARITY_RTOL builds), the least weight left unclamped
 UNIFORM_RTOL, RESIDUAL_RTOL, NEGATIVE_TOL = 1e-13, 1e-10, -1e-13
 DEFAULT_SEED = 12345
 # the most quadrature points a field is evaluated at in one call (see
@@ -62,37 +63,49 @@ class ValidationReport:
         return not self.violations
 
 
-def _convex_weights(points: np.ndarray, target: np.ndarray, scale: float):
+def _convex_weights(points: np.ndarray, target: np.ndarray, scale):
     """Nonnegative weights with sum 1 reproducing `target` as a combination of
-    `points`.  Minimizes the deviation from uniform weights subject to the two
-    equality constraints; negative entries are repaired by active-set clamping.
-    Returns None when no nonnegative solution is found (non-starlike geometry).
-    """
-    m = len(points)
-    mean = points.mean(axis=0)
-    if np.linalg.norm(mean - target) <= UNIFORM_RTOL * max(scale, 1e-300):
-        return np.full(m, 1.0 / m)
-    active = np.ones(m, dtype=bool)
-    d = np.concatenate([[1.0], target])
-    for _ in range(m + 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            return None
-        c_mat = np.vstack([np.ones(idx.size), points[idx].T])
-        uniform = np.full(idx.size, 1.0 / idx.size)
-        rhs = c_mat @ uniform - d
-        nu, *_ = np.linalg.lstsq(c_mat @ c_mat.T, rhs, rcond=None)
-        w_active = uniform - c_mat.T @ nu
-        residual = np.linalg.norm(c_mat @ w_active - d)
-        if residual > RESIDUAL_RTOL * max(scale, 1.0):
-            return None
-        w = np.zeros(m)
-        w[idx] = w_active
+    `points`, for a stack of equal-size rows, `points` (k, m, 3), `target`
+    (k, 3), `scale` (k,) the diameters: the (k, m) weights and the mask of
+    rows without (non-starlike geometry).  One (m, 3) row returns its weights
+    or None.  A row whose vertex mean is its target takes uniform weights;
+    the others the weights closest to uniform over their active vertices, by
+    `pinv` of the coordinate rows of the constraint matrix, centred on the
+    active mean (so orthogonal to its row of ones) and scaled by the
+    diameter: the condition is the row shape's, not its square as through
+    the normal matrix.  Negative weights are clamped to zero and their rows
+    solved again until none is; a residual above `RESIDUAL_RTOL` fails."""
+    single = np.ndim(points) == 2
+    points = np.asarray(points, dtype=float).reshape(-1, np.shape(points)[-2], 3)
+    target, scale = np.reshape(target, (-1, 3)), np.maximum(np.reshape(scale, -1), 1e-300)
+    k, m, _ = points.shape
+    weights, failed = np.full((k, m), 1.0 / m), np.zeros(k, dtype=bool)
+    local = (points - target[:, None]) / scale[:, None, None]
+    active = np.ones((k, m), dtype=bool)
+    todo = np.flatnonzero(np.linalg.norm(points.mean(axis=1) - target, axis=1)
+                          > UNIFORM_RTOL * scale)
+    while todo.size:
+        on = active[todo]
+        uniform = on / on.sum(axis=1, keepdims=True)
+        mean = uniform[:, None] @ local[todo]  # (k, 1, 3); the target is the origin
+        rows = ((local[todo] - mean) * on[..., None]).transpose(0, 2, 1)
+        # the cutoff drops the direction normal to a face (no normal is known
+        # here to project on): its singular value is the planarity deviation over
+        # the diameter, at most PLANARITY_RTOL; NumPy 1.x takes `rcond`, not `rtol`
+        w = uniform - (np.linalg.pinv(rows, rcond=1e-8) @ mean.transpose(0, 2, 1))[..., 0]
+        residual = np.hypot(w.sum(axis=1) - 1.0, np.linalg.norm(
+            (w[:, None] @ points[todo])[:, 0] - target[todo], axis=1))
+        bad = residual > RESIDUAL_RTOL * np.maximum(scale[todo], 1.0)
         negative = w < NEGATIVE_TOL
-        if not negative.any():
-            return np.maximum(w, 0.0)
-        active &= ~negative
-    return None
+        done = ~bad & ~negative.any(axis=1)
+        weights[todo[done]] = np.maximum(w[done], 0.0)
+        active[todo] = on & ~negative
+        bad |= ~active[todo].any(axis=1)
+        failed[todo[bad]] = True
+        todo = todo[~bad & ~done]
+    if single:
+        return None if failed[0] else weights[0]
+    return weights, failed
 
 
 # -- CSR helpers ----------------------------------------------------------------
@@ -210,36 +223,20 @@ def _diameters(positions: np.ndarray, offsets: np.ndarray, ids: np.ndarray) -> n
     return out
 
 
-def _weights(positions, offsets, ids, mean, centroid, diam, rejected):
-    """`_convex_weights` of every row of a CSR vertex array with vertex means
+def _weights(positions, offsets, ids, mean, centroid, diam, rejected, solve=_convex_weights):
+    """Convex weights of every row of a CSR vertex array with vertex means
     `mean`, up to the first row an earlier check `rejected`, and the mask of
-    rows without weights.  The first (all-active) solve is batched per row
-    size, with the cutoff of `lstsq` (max(M, N)·eps for the 4x4 normal
-    matrices); the rows it leaves negative or off the constraints continue
-    through `_convex_weights` in row order, up to the first without weights."""
+    rows without: uniform where the mean is the centroid, else `solve`d in
+    one call per row size (bound at import, whatever the module name later
+    refers to)."""
     sizes = np.diff(offsets)
     weights = np.repeat(1.0 / sizes, sizes)
     fast = np.linalg.norm(mean - centroid, axis=1) <= UNIFORM_RTOL * np.maximum(diam, 1e-300)
-    failed, clamp = np.zeros(len(sizes), dtype=bool), np.zeros(len(sizes), dtype=bool)
+    failed = np.zeros(len(sizes), dtype=bool)
     stop = int(np.argmax(rejected)) if rejected.any() else len(sizes)
     for rows, entries in _groups(offsets, np.flatnonzero(~fast[:stop])):
-        c_t = np.concatenate([np.ones(entries.shape + (1,)), positions[ids[entries]]], axis=2)
-        c_mat, d = c_t.transpose(0, 2, 1), np.column_stack([np.ones(len(rows)), centroid[rows]])
-        uniform = np.full(entries.shape[1], 1.0 / entries.shape[1])
-        pinv = np.linalg.pinv(c_mat @ c_t, rcond=4 * np.finfo(float).eps)  # NumPy 1.x and 2.x
-        w = uniform - (c_t @ (pinv @ (c_mat @ uniform - d)[:, :, None]))[..., 0]
-        residual = np.linalg.norm((c_mat @ w[:, :, None])[..., 0] - d, axis=1)
-        ok = ((residual <= RESIDUAL_RTOL * np.maximum(diam[rows], 1.0))
-              & (w >= NEGATIVE_TOL).all(axis=1))
-        weights[entries[ok]] = np.maximum(w[ok], 0.0)
-        clamp[rows[~ok]] = True
-    for i in np.flatnonzero(clamp):
-        lo, hi = offsets[i], offsets[i + 1]
-        w = _convex_weights(positions[ids[lo:hi]], centroid[i], diam[i])
-        if w is None:
-            failed[i] = True
-            break
-        weights[lo:hi] = w
+        weights[entries], failed[rows] = solve(positions[ids[entries]], centroid[rows],
+                                               diam[rows])
     return weights, failed
 
 

@@ -1,16 +1,17 @@
-"""Convex vertex weights of faces and cells as built by `Mesh`: the batched
-first solve against the per-row `_convex_weights`, the active-set
-continuation inside construction, and a guard that jittered prisms need no
-per-row solve.  Also holds `jittered_prisms_text`, a POLYMESH generator of
-polytopal test meshes."""
+"""Convex vertex weights of faces and cells as built by `Mesh`: the weights
+of a mesh against one-row calls of `_convex_weights`, a batch of rows against
+each row alone, the active-set clamp within one batch per row size, and
+Voronoi cells that validate.  Also holds `jittered_prisms_text` and
+`voronoi_text`, POLYMESH generators of polytopal test meshes."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from scipy.spatial import Voronoi
 
 import polyelast.mesh as mesh_module
-from polyelast.mesh import _convex_weights, parse_polymesh
+from polyelast.mesh import DEFAULT_SEED, _convex_weights, parse_polymesh, validate_mesh
 from test_polyhedral import merged_hex_text, pentagonal_prism_text
 
 
@@ -55,6 +56,55 @@ def jittered_prisms_text(n: int, jitter: float, seed: int) -> str:
     lines += [" ".join(f"{c:.17g}" for c in p) for p in positions.tolist()]
     lines += [" ".join(map(str, [4, *loop])) for loop in np.vstack([horizontal, vertical]).tolist()]
     lines += [" ".join(map(str, [6, *ids])) for ids in cells.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def voronoi_text(n: int, jitter: float, seed: int) -> str:
+    """POLYMESH text of the Voronoi cells of n^3 seeds: the cell centres of
+    the n^3 grid of the unit cube, moved by up to jitter/(2n) per component,
+    mirrored across the six cube faces so that the cells of the seeds tile
+    the cube.  The face of seeds p < q has its normal from p to q, and its
+    vertices in the order of their angle about their mean in the plane
+    normal to q - p."""
+    rng = np.random.default_rng(seed)
+    side = (np.arange(n) + 0.5) / n
+    z, y, x = np.meshgrid(side, side, side, indexing="ij")
+    seeds = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    delta = jitter / (2.0 * n)
+    seeds += rng.uniform(-delta, delta, size=seeds.shape)
+    points = np.tile(seeds, (7, 1, 1))
+    for k, (axis, wall) in enumerate(product(range(3), (0.0, 2.0)), start=1):
+        points[k, :, axis] = wall - seeds[:, axis]
+    vor = Voronoi(points.reshape(-1, 3))
+    pairs = np.sort(vor.ridge_points, axis=1)
+    faces = np.flatnonzero(pairs[:, 0] < len(seeds))
+    pairs = pairs[faces]
+    ridges = [vor.ridge_vertices[r] for r in faces.tolist()]
+    sizes = np.array([len(r) for r in ridges])
+    loops = [None] * len(ridges)
+    for m in np.unique(sizes):  # one batch per ridge size
+        rows = np.flatnonzero(sizes == m)
+        ids = np.array([ridges[r] for r in rows])
+        normal = vor.points[pairs[rows, 1]] - vor.points[pairs[rows, 0]]
+        u = np.cross(normal, np.eye(3)[np.argmin(np.abs(normal), axis=1)])
+        v = np.cross(normal, u)  # (u, v, normal) is right-handed
+        d = vor.vertices[ids] - vor.vertices[ids].mean(axis=1, keepdims=True)
+        angle = np.arctan2(np.einsum("kmj,kj->km", d, v), np.einsum("kmj,kj->km", d, u))
+        for r, loop in zip(rows.tolist(), np.take_along_axis(ids, np.argsort(angle, axis=1),
+                                                             axis=1).tolist()):
+            loops[r] = loop
+    used, flat = np.unique(np.concatenate(loops), return_inverse=True)
+    loops = np.split(flat, np.cumsum(sizes)[:-1])
+    cells = [[] for _ in seeds]
+    for f, (p, q) in enumerate(pairs.tolist()):
+        cells[p].append(f + 1)
+        if q < len(seeds):
+            cells[q].append(-(f + 1))
+
+    lines = ["POLYMESH 1", f"{len(used)} {len(loops)} {len(cells)}"]
+    lines += [" ".join(f"{c:.17g}" for c in p) for p in vor.vertices[used].tolist()]
+    lines += [" ".join(map(str, [len(loop), *loop.tolist()])) for loop in loops]
+    lines += [" ".join(map(str, [len(ids), *ids])) for ids in cells]
     return "\n".join(lines) + "\n"
 
 
@@ -125,11 +175,13 @@ def test_prisms_use_the_batched_solve_only(monkeypatch):
 
 
 def test_negative_first_solve_continues_per_row(monkeypatch):
+    """The rows whose first solve comes out negative are clamped within
+    their batch: construction solves no row on its own."""
     calls = []
     monkeypatch.setattr(mesh_module, "_convex_weights",
                         lambda *args: calls.append(len(args[0])) or _convex_weights(*args))
     mesh = parse_polymesh(clamped_prism_text())
-    assert calls == [23, 23, 46]  # both bases, then the cell
+    assert calls == []
     rows = [*rows_of(mesh)]
     for ids, weights, centroid in rows[:2] + rows[-1:]:
         pos = mesh.positions[ids]
@@ -150,3 +202,41 @@ def test_batched_solve_keeps_to_the_numpy_1_pinv_signature(monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", numpy_1_pinv)
     mesh = parse_polymesh(jittered_prisms_text(3, 0.3, 1))
     assert calls and mesh.n_cells == 27
+
+
+def test_construction_solves_each_row_size_in_one_stack(monkeypatch):
+    pinv, shapes = np.linalg.pinv, []
+    monkeypatch.setattr(np.linalg, "pinv",
+                        lambda a, rcond: shapes.append(a.shape) or pinv(a, rcond))
+    parse_polymesh(clamped_prism_text())
+    # both bases in one stack of 3 x 23 coordinate rows, then the cell; each
+    # stack is solved again after a clamp
+    assert shapes[0] == (2, 3, 23)
+    assert (1, 3, 46) in shapes
+    assert {shape[1:] for shape in shapes} == {(3, 23), (3, 46)}
+
+
+def test_a_batch_of_rows_solves_each_row_as_alone():
+    clamped = parse_polymesh(clamped_prism_text())
+    base, target = clamped.positions[clamped.face_loops[0]], clamped.face_centroid[0]
+    t = 2.0 * np.pi * np.arange(len(base)) / len(base)
+    polygon = np.column_stack([np.cos(t), np.sin(t), np.zeros(len(base))])
+    rows = np.stack([polygon, base, polygon])
+    targets = np.array([[0.1, 0.05, 0.0], target, [2.0, 0.0, 0.0]])  # the last is outside
+    scales = np.array([diameter(pos) for pos in rows])
+    weights, failed = _convex_weights(rows, targets, scales)
+    assert failed.tolist() == [False, False, True]
+    for pos, aim, scale, w in zip(rows[:2], targets, scales, weights):
+        assert np.array_equal(w, _convex_weights(pos, aim, scale))
+        assert np.abs(w @ pos - aim).max() <= 1e-12
+    assert _convex_weights(rows[2], targets[2], scales[2]) is None
+    assert first_solve(polygon, targets[0]).min() > 0.0 and weights[0].min() > 0.0
+    assert first_solve(base, target).min() < -1e-3 and weights[1].min() == 0.0
+
+
+def test_voronoi_cells_validate():
+    mesh = parse_polymesh(voronoi_text(8, 0.1, DEFAULT_SEED))
+    report = validate_mesh(mesh)
+    assert report.ok, report.violations[:3]
+    assert report.proxies["weight_deviation_max"] <= 1e-14
+    assert min(mesh._face_weights.min(), mesh._cell_weights.min()) >= 0.0

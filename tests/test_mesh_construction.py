@@ -137,12 +137,31 @@ def hex2_text(vertex_lines=(), flipped_cells=()):
     return "\n".join(lines) + "\n"
 
 
+# a bow-tie loop in z = 0 whose fan areas do not cancel, its centroid
+# (2, 4/3) outside the hull of its vertices, closed by an apex at (1, 0, 1)
+BOWTIE_PYRAMID = """POLYMESH 1
+5 5 1
+0 0 0
+4 0 0
+0 1 0
+2 -3 0
+1 0 1
+4 0 1 2 3
+3 0 4 1
+3 1 4 2
+3 2 4 3
+3 3 4 0
+5 -1 2 3 4 5
+"""
+
+
 @pytest.mark.parametrize("text,message", [
     # the corner (1,1,1) leaves the planes x=1 and y=1: faces 11 and 23
     (hex2_text(vertex_lines=[(26, "1.05 1.05 1")]),
      "face 11 is non-planar (deviation 1.584e-02 exceeds tolerance 7.450e-10)"),
     (hex2_text(flipped_cells=(5, 3)),
      "cell 3: signed faces do not enclose positive volume"),
+    (BOWTIE_PYRAMID, "face 0: centroid is not a nonnegative combination of its vertices"),
 ])
 def test_construction_reports_lowest_failing_id(text, message):
     with warnings.catch_warnings():
