@@ -90,8 +90,8 @@ def voronoi_text(n: int, jitter: float, seed: int) -> str:
         v = np.cross(normal, u)  # (u, v, normal) is right-handed
         d = vor.vertices[ids] - vor.vertices[ids].mean(axis=1, keepdims=True)
         angle = np.arctan2(np.einsum("kmj,kj->km", d, v), np.einsum("kmj,kj->km", d, u))
-        for r, loop in zip(rows.tolist(), np.take_along_axis(ids, np.argsort(angle, axis=1),
-                                                             axis=1).tolist()):
+        ordered = np.take_along_axis(ids, np.argsort(angle, axis=1), axis=1)
+        for r, loop in zip(rows.tolist(), ordered.tolist()):
             loops[r] = loop
     used, flat = np.unique(np.concatenate(loops), return_inverse=True)
     loops = np.split(flat, np.cumsum(sizes)[:-1])
