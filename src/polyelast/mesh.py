@@ -223,20 +223,19 @@ def _diameters(positions: np.ndarray, offsets: np.ndarray, ids: np.ndarray) -> n
     return out
 
 
-def _weights(positions, offsets, ids, mean, centroid, diam, rejected, solve=_convex_weights):
+def _weights(positions, offsets, ids, mean, centroid, diam, rejected):
     """Convex weights of every row of a CSR vertex array with vertex means
     `mean`, up to the first row an earlier check `rejected`, and the mask of
-    rows without: uniform where the mean is the centroid, else `solve`d in
-    one call per row size (bound at import, whatever the module name later
-    refers to)."""
+    rows without: uniform where the mean is the centroid, else by one
+    `_convex_weights` call per row size."""
     sizes = np.diff(offsets)
     weights = np.repeat(1.0 / sizes, sizes)
     fast = np.linalg.norm(mean - centroid, axis=1) <= UNIFORM_RTOL * np.maximum(diam, 1e-300)
     failed = np.zeros(len(sizes), dtype=bool)
     stop = int(np.argmax(rejected)) if rejected.any() else len(sizes)
     for rows, entries in _groups(offsets, np.flatnonzero(~fast[:stop])):
-        weights[entries], failed[rows] = solve(positions[ids[entries]], centroid[rows],
-                                               diam[rows])
+        weights[entries], failed[rows] = _convex_weights(positions[ids[entries]],
+                                                          centroid[rows], diam[rows])
     return weights, failed
 
 

@@ -1,7 +1,8 @@
 """Convex vertex weights of faces and cells as built by `Mesh`: the weights
-of a mesh against one-row calls of `_convex_weights`, a batch of rows against
-each row alone, the active-set clamp within one batch per row size, and
-Voronoi cells that validate.  Also holds `jittered_prisms_text` and
+of a mesh against one-row calls of `_convex_weights` and against a per-row
+active set on the normal matrix in global coordinates, a batch of rows
+against each row alone, one `_convex_weights` call per row size with the
+active-set clamp inside it, and Voronoi cells that validate.  Also holds `jittered_prisms_text` and
 `voronoi_text`, POLYMESH generators of polytopal test meshes."""
 
 from itertools import combinations, product
@@ -11,7 +12,8 @@ import pytest
 from scipy.spatial import Voronoi
 
 import polyelast.mesh as mesh_module
-from polyelast.mesh import DEFAULT_SEED, _convex_weights, parse_polymesh, validate_mesh
+from polyelast.mesh import (DEFAULT_SEED, NEGATIVE_TOL, RESIDUAL_RTOL, UNIFORM_RTOL,
+                            _convex_weights, parse_polymesh, validate_mesh)
 from test_polyhedral import merged_hex_text, pentagonal_prism_text
 
 
@@ -147,6 +149,32 @@ def first_solve(pos, target):
     return uniform - c_mat.T @ nu
 
 
+def per_row_convex_weights(pos, target, scale):
+    """Reference weights, solved apart from `_convex_weights`: one row at a
+    time, by `lstsq` of the normal matrix of the constraints in global
+    coordinates, clamping negative weights until none is left; None when
+    the residual fails or no vertex stays active."""
+    m = len(pos)
+    if np.linalg.norm(pos.mean(axis=0) - target) <= UNIFORM_RTOL * max(scale, 1e-300):
+        return np.full(m, 1.0 / m)
+    active = np.ones(m, dtype=bool)
+    d = np.r_[1.0, target]
+    while active.any():
+        idx = np.flatnonzero(active)
+        c_mat = np.vstack([np.ones(idx.size), pos[idx].T])
+        uniform = np.full(idx.size, 1.0 / idx.size)
+        nu, *_ = np.linalg.lstsq(c_mat @ c_mat.T, c_mat @ uniform - d, rcond=None)
+        w = np.zeros(m)
+        w[idx] = uniform - c_mat.T @ nu
+        if np.linalg.norm(c_mat @ w[idx] - d) > RESIDUAL_RTOL * max(scale, 1.0):
+            return None
+        negative = w < NEGATIVE_TOL
+        if not negative.any():
+            return np.maximum(w, 0.0)
+        active &= ~negative
+    return None
+
+
 def rows_of(mesh):
     """(vertex ids, weights, centroid) of every face, then of every cell."""
     yield from zip(mesh.face_loops, mesh.face_weights, mesh.face_centroid)
@@ -158,6 +186,8 @@ def test_weights_match_per_row_convex_weights(name):
     mesh = MESHES[name]()
     for ids, weights, centroid in rows_of(mesh):
         pos = mesh.positions[ids]
+        reference = per_row_convex_weights(pos, centroid, diameter(pos))
+        assert np.abs(weights - reference).max() <= 1e-13 * reference.max()
         expected = _convex_weights(pos, centroid, diameter(pos))
         assert np.abs(weights - expected).max() <= 1e-15
 
@@ -165,29 +195,32 @@ def test_weights_match_per_row_convex_weights(name):
 def test_prisms_use_the_batched_solve_only(monkeypatch):
     calls = []
     monkeypatch.setattr(mesh_module, "_convex_weights",
-                        lambda *args: calls.append(args) or _convex_weights(*args))
+                        lambda *args: calls.append(args[0].shape) or _convex_weights(*args))
     mesh = parse_polymesh(jittered_prisms_text(6, 0.3, 7))
-    assert calls == []
+    # one stack per row size: the 7 x 36 horizontal faces, then the 216 cells
+    assert calls == [(252, 4, 3), (216, 8, 3)]
     # the jittered bases and the cells over them miss the uniform fast path
     uniform = [np.allclose(w, 1.0 / len(w), rtol=0, atol=1e-12) for w in mesh.face_weights]
     assert not all(uniform)
     assert not any(np.allclose(w, 1.0 / len(w), rtol=0, atol=1e-12) for w in mesh.cell_weights)
 
 
-def test_negative_first_solve_continues_per_row(monkeypatch):
+def test_negative_first_solve_is_clamped_within_its_stack(monkeypatch):
     """The rows whose first solve comes out negative are clamped within
-    their batch: construction solves no row on its own."""
+    their stack: construction solves no row on its own."""
     calls = []
     monkeypatch.setattr(mesh_module, "_convex_weights",
                         lambda *args: calls.append(len(args[0])) or _convex_weights(*args))
     mesh = parse_polymesh(clamped_prism_text())
-    assert calls == []
+    assert calls == [2, 1]  # both bases in one stack, then the cell
     rows = [*rows_of(mesh)]
     for ids, weights, centroid in rows[:2] + rows[-1:]:
         pos = mesh.positions[ids]
         assert first_solve(pos, centroid).min() < -1e-3
         assert weights.min() >= 0.0
         assert np.abs(weights - _convex_weights(pos, centroid, diameter(pos))).max() <= 1e-15
+        reference = per_row_convex_weights(pos, centroid, diameter(pos))
+        assert np.abs(weights - reference).max() <= 1e-13 * reference.max()
         assert np.abs(weights @ pos - centroid).max() <= 1e-12
 
 
@@ -228,8 +261,11 @@ def test_a_batch_of_rows_solves_each_row_as_alone():
     assert failed.tolist() == [False, False, True]
     for pos, aim, scale, w in zip(rows[:2], targets, scales, weights):
         assert np.array_equal(w, _convex_weights(pos, aim, scale))
+        reference = per_row_convex_weights(pos, aim, scale)
+        assert np.abs(w - reference).max() <= 1e-13 * reference.max()
         assert np.abs(w @ pos - aim).max() <= 1e-12
     assert _convex_weights(rows[2], targets[2], scales[2]) is None
+    assert per_row_convex_weights(rows[2], targets[2], scales[2]) is None
     assert first_solve(polygon, targets[0]).min() > 0.0 and weights[0].min() > 0.0
     assert first_solve(base, target).min() < -1e-3 and weights[1].min() == 0.0
 
