@@ -19,7 +19,8 @@ the reduced system.
 
 The matrix is assembled once per mesh as a `LambdaSplit` (`assemble_split`):
 A0, from one walk over the chunks, and the divergence map D of K = D^T W D,
-the balance of face fluxes, over the runs of cells (`divergence_operator`).
+the balance of face fluxes, each row written on its cell's own DOFs in
+ascending order (`divergence_operator`).
 The split keeps one copy of A0: it cuts from A0 and D, in runs of rows, only
 the blocks its reductions read, and neither A0 nor D outlives the cut.  With
 bubbles it forms the mixed matrix [A0_ff, D_f^T W; W D_f, 0] directly in
@@ -142,7 +143,7 @@ class LambdaSplit:
         constrained = np.flatnonzero(constrained)
         on_mixed = getattr(dofmap, "bubbles_enabled", True)
         d_f, d_c = divergence[:, free].tocsr(), divergence[:, constrained].tocsr()
-        leading, a0_fc = _cut(a0, free, (sp.diags(volume) @ d_f).tocsr() if on_mixed else None)
+        leading, a0_fc = _cut(a0, free, d_f.multiply(volume[:, None]).tocsr() if on_mixed else None)
         return cls(volume, float(mu), free, leading if on_mixed else None,
                    None if on_mixed else leading, a0_fc, d_f, d_c, (a0.nnz, divergence.nnz))
 
@@ -410,73 +411,43 @@ def divergence_matrix(mesh: Mesh) -> sp.csr_matrix:
 
 def divergence_operator(mesh: Mesh) -> sp.csr_matrix:
     """D (n_cells, N), the divergence of every cell as a map of the DOF vector
-    (K = D^T W D): the balance of its face fluxes W^-1 C Phi, the trace of G by
-    the divergence theorem.  Phi (n_faces, N) maps the DOF vector to the fluxes
-    |f| (n_f . sum_v w_fv u_v + b_f); C holds the signs of each cell's faces.
-    D is built over the `cell_runs`, its rows, each run from the fluxes of its
-    own faces on the DOFs they read, into arrays allocated once for the
-    distinct DOFs of every cell, so that its transient does not grow with the
-    mesh; every row sums and orders its entries as the product over all cells
-    does, and drops its zero sums as that does."""
-    c_off, n_dofs = mesh.cell_face_offsets, 3 * mesh.n_vertices + mesh.n_faces
-    size = 3 * len(mesh.cell_vertex_ids) + len(mesh.cell_face_ids)  # at most, in all rows
+    (K = D^T W D): the balance of its face fluxes, the trace of G by the
+    divergence theorem, D_K v = |K|^-1 sum_f s_Kf |f| (n_f . sum_v w_fv v_v + b_f).
+    Each row is written on its cell's DOFs in ascending order, over the
+    `cell_runs` into arrays allocated once, so that its transient does not
+    grow with the mesh: a vertex component j sums (s_Kf/|K|) ((|f| w_fv) n_f,j)
+    over the cell's faces in their order, a bubble is (s_Kf/|K|) |f|, and
+    exact zeros are dropped."""
+    v_off, c_off, n_v = mesh.cell_vertex_offsets, mesh.cell_face_offsets, mesh.n_vertices
+    n_dofs = 3 * n_v + mesh.n_faces
+    indptr = 3 * v_off + c_off  # each row: its vertices' components, then its bubbles
     # int32, the index type scipy keeps below 2**31 DOFs, so that it makes no copy
-    index = np.int32 if max(size, n_dofs) < 2**31 else np.int64
-    indptr = np.zeros(mesh.n_cells + 1, dtype=index)
-    indices, data = np.empty(size, dtype=index), np.empty(size)
-    bound = max(mesh.n_vertices, mesh.n_faces)
-    seen, slot = np.zeros(bound, dtype=bool), np.empty(bound, dtype=index)
-
-    def renumber(ids):
-        """The distinct `ids` (vertex or face ids), ascending, and the
-        position of each id among them, marking only the range they span."""
-        low = ids.min()
-        window = seen[low:ids.max() + 1]
-        window[ids - low] = True
-        distinct = np.flatnonzero(window)
-        window[distinct] = False
-        slot[distinct] = np.arange(len(distinct))
-        return low + distinct, slot[ids - low]
-
+    index = np.int32 if max(indptr[-1], n_dofs) < 2**31 else np.int64
+    indptr = indptr.astype(index)
+    indices, data = np.empty(indptr[-1], dtype=index), np.empty(indptr[-1])
     for lo, hi in list(cell_runs(mesh)):  # `cell_runs`' arrays released first
-        faces, local = renumber(mesh.cell_face_ids[c_off[lo]:c_off[hi]])
-        balance = sp.csr_matrix(
-            (mesh.cell_face_signs[c_off[lo]:c_off[hi]]
-             / np.repeat(mesh.cell_volume[lo:hi], np.diff(c_off[lo:hi + 1])),
-             local, c_off[lo:hi + 1] - c_off[lo]), shape=(hi - lo, len(faces)))
-        dofs, flux = _face_fluxes(mesh, faces, renumber)
-        rows = balance @ flux
-        del balance, flux
-        start = indptr[lo]
-        indptr[lo + 1:hi + 1] = start + rows.indptr[1:]
-        np.take(dofs, rows.indices, out=indices[start:indptr[hi]])
-        data[start:indptr[hi]] = rows.data
-        del rows  # before the next run's fluxes
-    indices.resize(indptr[-1], refcheck=False)  # fewer where a sum was zero
-    data.resize(indptr[-1], refcheck=False)
-    return sp.csr_matrix((data, indices, indptr), shape=(mesh.n_cells, n_dofs))
-
-
-def _face_fluxes(mesh: Mesh, faces: np.ndarray, renumber: Callable):
-    """The DOFs that the fluxes of `faces` (distinct, ascending) read,
-    ascending, and the rows of Phi for those faces on those DOFs: each face's
-    vertex entries in loop order, then its bubble.  `renumber` numbers the
-    vertices."""
-    first = mesh.face_loop_offsets[faces]
-    sizes = mesh.face_loop_offsets[faces + 1] - first
-    loop, face = _positions(first, sizes), np.repeat(np.arange(len(faces)), sizes)
-    bubbles = 3 * np.cumsum(sizes)  # each face's bubble after its vertex entries
-    area = mesh.face_area[faces]
-    data = np.insert(((area[face] * mesh._face_weights[loop])[:, None]
-                      * mesh.face_normal[faces[face]]).ravel(), bubbles, area)
-    vertices, at = renumber(mesh.face_loop_vertices[loop])
-    del loop, face
-    columns = np.insert((3 * at[:, None] + np.arange(3)).ravel(), bubbles,
-                        3 * len(vertices) + np.arange(len(faces)))
-    dofs = np.concatenate([(3 * vertices[:, None] + np.arange(3)).ravel(),
-                           3 * mesh.n_vertices + faces])
-    offsets = np.concatenate([[0], bubbles + np.arange(1, len(faces) + 1)])
-    return dofs, sp.csr_matrix((data, columns, offsets), shape=(len(faces), len(dofs)))
+        entries, corners = np.arange(c_off[lo], c_off[hi]), np.arange(v_off[lo], v_off[hi])
+        cell = np.repeat(np.arange(lo, hi), np.diff(c_off[lo:hi + 1]))  # of each cell face
+        corner_cell = np.repeat(np.arange(lo, hi), np.diff(v_off[lo:hi + 1]))
+        faces = mesh.cell_face_ids[entries]
+        balance = mesh.cell_face_signs[entries] / mesh.cell_volume[cell]
+        loop, owner = row_entries(mesh.face_loop_offsets, faces)
+        face, sign = faces[owner], balance[owner]
+        weight = mesh.face_area[face] * mesh._face_weights[loop]  # |f| w_fv
+        # the slot of each loop vertex among the cell's vertices, sorted by (cell, vertex)
+        slot = np.searchsorted(mesh.cell_vertex_ids[corners] + n_v * corner_cell,
+                               mesh.face_loop_vertices[loop] + n_v * cell[owner])
+        del loop, owner
+        at = (3 * corners + c_off[corner_cell])[:, None] + np.arange(3)
+        indices[at] = 3 * mesh.cell_vertex_ids[corners][:, None] + np.arange(3)
+        data[at] = np.column_stack([np.bincount(slot, weight * mesh.face_normal[face, j] * sign,
+                                                len(corners)) for j in range(3)])
+        order = np.lexsort((faces, cell))  # each cell's bubbles, ascending
+        at = 3 * v_off[cell + 1] + entries
+        indices[at], data[at] = 3 * n_v + faces[order], (balance * mesh.face_area[faces])[order]
+    d = sp.csr_matrix((data, indices, indptr), shape=(mesh.n_cells, n_dofs))
+    d.eliminate_zeros()
+    return d
 
 
 def assemble_load(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions,

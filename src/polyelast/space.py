@@ -9,7 +9,8 @@ Dirichlet conditions, so that both variants share one assembly code path.
 All reconstruction operators are linear in the DOF vector.  The cell
 gradient is the divergence theorem over the face traces (the convex-weight
 vertex average plus the bubble times n_f); its trace, the divergence, is the
-balance of the face fluxes (`assembly.divergence_operator`).  `cell_fields`
+balance of the face fluxes, one row on each cell's own DOFs
+(`assembly.divergence_operator`).  `cell_fields`
 evaluates the gradient, the vertex mean and the stabilization energy of DOF
 vectors in closed form over all cells, for the errors, norms and
 diagnostics; `ReconstructionOperators` builds the operators as sparse
@@ -372,13 +373,13 @@ def cell_fields(mesh: Mesh, values: np.ndarray, stabilization: bool = False):
     """The gradient (n_cells, 3, 3[, s]) and the vertex mean (n_cells, 3[, s])
     on every cell of the DOF vectors `values` (N[, s]), in closed form over
     all cells: with the face traces t_f = sum_v w_fv u_v + b_f n_f,
-    G_K = |K|^-1 sum_f sign_Kf |f| t_f (x) n_f, summed through
-    `cell_face_balance` as `assembly.divergence_operator` sums the fluxes,
-    and M_K = sum_v w_Kv u_v (`cell_mean_operator`).  With `stabilization`,
-    also S(v, v) of each vector, sum_K h_K sum_s |v_s - M_K v - G_K v
-    (x_s - c_K)|^2 plus the bubble term sum_f b_f^2 sum_{K owns f} h_K, in
-    factored form so that near-kernel vectors give exact zeros instead of
-    cancellation noise."""
+    G_K = |K|^-1 sum_f sign_Kf |f| t_f (x) n_f, summed over each cell's faces
+    in their order through `cell_face_balance`, as the rows of
+    `assembly.divergence_operator` sum the fluxes, and M_K = sum_v w_Kv u_v
+    (`cell_mean_operator`).  With `stabilization`, also S(v, v) of each
+    vector, sum_K h_K sum_s |v_s - M_K v - G_K v (x_s - c_K)|^2 plus the
+    bubble term sum_f b_f^2 sum_{K owns f} h_K, in factored form so that
+    near-kernel vectors give exact zeros instead of cancellation noise."""
     n_v, n_f, n_c = mesh.n_vertices, mesh.n_faces, mesh.n_cells
     tail = values.shape[1:]
     vertex = values[:3 * n_v].reshape(n_v, -1)  # (n_v, 3 s)
