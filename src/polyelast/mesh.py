@@ -284,10 +284,10 @@ class Mesh:
     The mesh memoises nothing: quadrature rules are built on demand, in
     batches over faces or cells.
 
-    Construction validates basic structure (index ranges, loop/face counts,
-    planarity, positive volumes, convex weights) and reports the lowest
-    failing entity id; use :func:`validate_mesh` for the full invariant
-    report.
+    Construction validates basic structure (at least one cell, index ranges,
+    loop/face counts, planarity, positive volumes, convex weights) and reports
+    the lowest failing entity id; use :func:`validate_mesh` for the full
+    invariant report.
     """
 
     def __init__(self, positions, face_loops, cell_faces, cell_signs):
@@ -308,7 +308,7 @@ class Mesh:
             self._compute_face_geometry()
             self._build_adjacency()
             self._compute_cell_geometry()
-        self.h = float(self.cell_diameter.max()) if self.n_cells else 0.0
+        self.h = float(self.cell_diameter.max())
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -327,6 +327,8 @@ class Mesh:
     # -- construction ------------------------------------------------------
 
     def _check_connectivity(self, sign_offsets):
+        if self.n_cells == 0:
+            raise MeshError("mesh has no cells")
         f_off, f_ids = self.face_loop_offsets, self.face_loop_vertices
         _raise_first(
             (np.diff(f_off) < 3, "face {} has fewer than 3 vertices".format),

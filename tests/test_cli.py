@@ -350,3 +350,15 @@ def test_case_choices_are_the_case_names():
     for command in ("solve", "convergence"):
         case = next(action for action in commands[command]._actions if action.dest == "case")
         assert tuple(case.choices) == CASE_NAMES
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--mesh"],
+    ["solve", "--case", "example2", "--lambda", "1", "--mesh"],
+    ["convergence", "--case", "example2", "--lambda", "1", "--mesh-series"],
+])
+def test_a_mesh_with_no_cells_exits_1(argv, tmp_path, capsys):
+    path = tmp_path / "empty.polymesh"
+    path.write_text("POLYMESH 1\n0 0 0\n")
+    assert main([*argv, str(path)]) == 1
+    assert capsys.readouterr().err == "error: mesh has no cells\n"
