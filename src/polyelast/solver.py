@@ -98,10 +98,15 @@ def _iterate(method: str, steps, tol: float, cap: int):
     residual.  The solve stops at the tolerance once a true residual meets
     `tol` (the start's with no step), at the residual floor once a restart
     gained less than a factor 0.9, and at the iteration cap after `cap`
-    steps; the last two raise `SolverError`.  Returns the last x and the
-    norms per step, from the start's (empty for a zero load).
+    steps; the last two raise `SolverError`, as does a load whose norm
+    overflows.  Returns the last x and the norms per step, from the start's
+    (empty for a zero load).
     """
-    x, norm_b, start = next(steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        x, norm_b, start = next(steps)
+    if not math.isfinite(norm_b):
+        raise SolverError(f"{method}: the norm of the load overflows to {norm_b} "
+                          "in double precision (rescale the data)")
     if norm_b == 0.0:
         logger.info("%s: 0 iterations, relative residual 0.000e+00, stopped at the "
                     "tolerance", method)
@@ -227,8 +232,6 @@ def _minres(split: LambdaSplit, config: SolverConfig, start: np.ndarray | None =
     v = rhs.copy()
     z = inv_m * v
     norm_b = gamma = math.sqrt(v @ z)
-    if not math.isfinite(norm_b):
-        raise SolverError("MINRES breakdown: non-finite load")
     if start is not None:
         v_start = rhs - apply(start)
         z_start = inv_m * v_start

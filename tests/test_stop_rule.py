@@ -1,11 +1,13 @@
 """One stop rule for both Krylov methods: MINRES on the lambda split and CG
 on the penalty matrix of the no-bubble ablation stop at the same three
-reasons, raise the same errors in the same words, and log the stop in the
-same line."""
+reasons, raise the same errors in the same words, log the stop in the same
+line, and refuse a load whose norm overflows."""
 
 import logging
 import re
+import warnings
 
+import numpy as np
 import pytest
 
 from polyelast.analysis import manufactured_case
@@ -54,3 +56,15 @@ def test_both_methods_report_the_iteration_cap(method, bubbles, caplog):
             solve_spd(system, SolverConfig(max_iterations=3))
     logged = caplog.records[-1].getMessage()
     assert logged.startswith(f"{method}: 3 iterations") and logged.endswith("iteration cap")
+
+
+@pytest.mark.parametrize("method, bubbles", [("MINRES", True), ("CG", False)])
+def test_both_methods_refuse_a_load_whose_norm_overflows(method, bubbles):
+    # at lambda = 1e-200 the example's load is near 1e200: finite, but its norm is not
+    system = case_system("tet:2", 1e-200, bubbles)
+    assert np.isfinite(system.load).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=rf"^{method}: the norm of the load overflows "
+                                              r"to inf in double precision \(rescale the data\)$"):
+            solve_spd(system)
