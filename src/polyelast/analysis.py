@@ -35,13 +35,13 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import assembly
 from .assembly import (
     BoundaryConditions,
     assemble_load,
     assemble_split,
     check_setup,
     dirichlet_lifting,
-    reduce_lifted,
 )
 from .mesh import (DEFAULT_SEED, Mesh, _integrals, check_structured_spec,
                    generate_structured_mesh, parse_polymesh)
@@ -692,7 +692,8 @@ def study_rows(case_name: str, mesh_sources: Sequence[MeshSource],
         for lam, case in zip(lambdas, cases):
             start = time.perf_counter()
             lifting = dirichlet_lifting(mesh, dofmap, case.boundary_conditions(mesh))
-            system = reduce_lifted(split.at(lam), at_lambda(load, lam), lifting, dofmap)
+            system = assembly.reduce_system(split.at(lam), at_lambda(load, lam), lifting,
+                                            dofmap)
             guess = _warm_start(solved, 1.0 / lam) if system.split is not None else None
             result = solve_spd(system, solver_config, start=guess)
             if result.mixed is not None:

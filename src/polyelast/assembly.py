@@ -26,13 +26,15 @@ the blocks its reductions read, and neither A0 nor D outlives the cut.  With
 bubbles it forms the mixed matrix [A0_ff, D_f^T W; W D_f, 0] directly in
 CSR, as `sp.bmat` would but without its COO copy; without, it keeps A0_ff;
 on both paths A0_fc and the free and constrained columns of D, which carry
-the lifting.  From the split at one lambda, `reduce_system` alone chooses the
-reduced system: with bubbles and lambda > 0 the split with its lambda-free
-loads, on whose mixed system [A0, D^T W; W D, -W/lambda] the solver works,
-so that A0 + lambda*K is formed only where it is read; the penalty matrix
-A0_ff + lambda*K_ff in the no-bubble ablation, from free-free blocks formed
-once for the split; and A0_ff itself at lambda = 0.  The unconstrained
-matrix, which only energy checks read, is re-assembled from the mesh.
+the lifting.  From the split at one lambda, `reduce_system` forms one
+reduced load on every path, load_u + lambda*D_f^T load_p, from the
+lambda-free loads of the lifting.  With bubbles and lambda > 0 the system
+carries the split with these loads, on whose mixed system
+[A0, D^T W; W D, -W/lambda] the solver works; otherwise it is solved on the
+penalty matrix A0_ff + lambda*K_ff (the no-bubble ablation) or on A0_ff
+(lambda = 0).  Either matrix is formed from the split only where it is read,
+K_ff once for the split, and the unconstrained matrix, which only energy
+checks read, is re-assembled from the mesh.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .space import (
     DofMap,
     MaterialParams,
     ReconstructionOperators,
+    _vertex_values,
     cell_mean_operator,
     cell_runs,
     face_bubble_moments,
@@ -112,8 +115,8 @@ class LambdaSplit:
     and D cut, and `full`, where given, re-assembles them when the
     unconstrained matrix is read (`penalty_matrix(full=True)`).
     `load_u` and `load_p` are the lambda-free loads of a reduced system:
-    b = load_u + lam * D_f^T load_p.  K_ff and K_fc of K = D^T W D are formed
-    when first read, once for the split and every `at` of it."""
+    b = load_u + lam * D_f^T load_p.  K_ff of K = D^T W D is formed when
+    first read, once for the split and every `at` of it."""
 
     volume: np.ndarray
     mu: float
@@ -177,17 +180,6 @@ class LambdaSplit:
         k = (d.T @ sp.diags(self.volume) @ d if full
              else self._once("k", lambda: d.T @ sp.diags(self.volume) @ d))
         return (a0 + self.lam * k).tocsr()
-
-    def coupling(self) -> sp.csr_matrix:
-        """A0 + lam * D^T W D on the free rows and the constrained columns,
-        which carries the lifting into the load, from blocks formed once for
-        the split; each entry and each row sum rounds as in the unconstrained
-        matrix."""
-        if self.lam == 0:
-            return self.a0_fc
-        k = self._once("k_fc", lambda: self.divergence.T @ sp.diags(self.volume)
-                       @ self.divergence_c)
-        return (self.a0_fc + self.lam * k).tocsr()
 
 
 def _cut(a0: sp.csr_matrix, free: np.ndarray, weighted: sp.csr_matrix | None):
@@ -488,7 +480,7 @@ def dirichlet_lifting(mesh: Mesh, dofmap: DofMap,
     lifting = np.zeros(dofmap.vector_size)
     if bcs.dirichlet_data is None:
         return lifting
-    vertex_values = np.asarray(bcs.dirichlet_data(mesh.positions), dtype=float)
+    vertex_values = _vertex_values(mesh, bcs.dirichlet_data, columns=False)
     constrained = np.repeat(dofmap.dirichlet_vertices, 3)
     lifting[: dofmap.n_vertex_dofs][constrained] = vertex_values.ravel()[constrained]
     if dofmap.bubbles_enabled:
@@ -521,41 +513,33 @@ def check_dirichlet_coverage(mesh: Mesh, dofmap: DofMap):
 
 def reduce_system(full_matrix: sp.csr_matrix | LambdaSplit, full_load: np.ndarray,
                   lifting: np.ndarray, dofmap: DofMap) -> SparseSystem:
-    """Eliminate constrained DOFs by lifting.  Given a `LambdaSplit` (built on
-    `dofmap`) for the matrix: with bubbles and lambda > 0 the system carries
-    the split with its lambda-free loads, load = load_u + lambda D_f^T load_p,
-    load_u = b_f - A0_fc g_c and load_p = -W D_c g_c for the lifting g, and
-    forms no matrix; otherwise its matrix is A0_ff + lambda*K_ff from the
-    split's blocks (the no-bubble ablation), or A0_ff at lambda = 0, and its
-    lifting enters the load through the split's `coupling`.  The lifting is
-    zero on the free DOFs, so each row sum rounds as in the unconstrained
-    product: it drops only zero products.  The unconstrained matrix of a
-    split system is re-assembled when read."""
-    free = dofmap.free_indices
+    """Eliminate constrained DOFs by lifting, once the load and the lifting
+    are found finite.  Given a `LambdaSplit` (built on `dofmap`) for the
+    matrix, the load is load_u + lambda D_f^T load_p, from the lambda-free
+    loads load_u = b_f - A0_fc g_c and load_p = -W D_c g_c of the lifting g,
+    and the system forms its matrices from the split when they are first
+    read: A0_ff + lambda*K_ff, or A0_ff at lambda = 0, and the unconstrained
+    matrix re-assembled.  With bubbles and lambda > 0 the system carries the
+    split with these loads, on whose mixed system [A0, D^T W; W D, -W/lambda]
+    the solver works.  The lifting is zero on the free DOFs, so a product
+    with its constrained part drops only zero products of the unconstrained
+    one."""
+    if not np.isfinite(lifting).all() or not np.isfinite(full_load).all():
+        raise AssemblyError("non-finite value in boundary data or load")
+    free, source, split = dofmap.free_indices, None, None
     if isinstance(full_matrix, LambdaSplit):
-        split, lifted = full_matrix, lifting[dofmap.constrained_indices]
-        if dofmap.bubbles_enabled and split.lam > 0:
-            load_u = full_load[free] - split.a0_fc @ lifted
-            load_p = -split.volume * (split.divergence_c @ lifted)
-            return SparseSystem(
-                None, load_u + split.lam * (split.divergence.T @ load_p), lifting, free,
-                dofmap.constrained_indices, dofmap, None, full_load,
-                split=replace(split, load_u=load_u, load_p=load_p))
-        load = full_load[free] - split.coupling() @ lifted
-        return SparseSystem(split.penalty_matrix(), load, lifting, free,
-                            dofmap.constrained_indices, dofmap, None, full_load, source=split)
-    reduced = full_matrix[free][:, free].tocsr()
-    rhs = full_load[free] - (full_matrix @ lifting)[free]
-    return SparseSystem(
-        matrix=reduced,
-        load=rhs,
-        lifting=lifting,
-        free_indices=free,
-        constrained_indices=dofmap.constrained_indices,
-        dofmap=dofmap,
-        full_matrix=full_matrix,
-        full_load=full_load,
-    )
+        source, lifted = full_matrix, lifting[dofmap.constrained_indices]
+        load_u = full_load[free] - source.a0_fc @ lifted
+        load_p = -source.volume * (source.divergence_c @ lifted)
+        load = load_u + source.lam * (source.divergence.T @ load_p)
+        if dofmap.bubbles_enabled and source.lam > 0:
+            split = replace(source, load_u=load_u, load_p=load_p)
+        matrix = full_matrix = None
+    else:
+        matrix = full_matrix[free][:, free].tocsr()
+        load = full_load[free] - (full_matrix @ lifting)[free]
+    return SparseSystem(matrix, load, lifting, free, dofmap.constrained_indices, dofmap,
+                        full_matrix, full_load, split=split, source=source)
 
 
 def assemble_split(mesh: Mesh, dofmap: DofMap, material: MaterialParams) -> LambdaSplit:
@@ -579,7 +563,7 @@ def assemble(mesh: Mesh, dofmap: DofMap, material: MaterialParams,
     lifting of `bcs` and `body_force`."""
     check_setup(mesh, dofmap, bcs)
     split = assemble_split(mesh, dofmap, material).at(material.lam)
-    return reduce_lifted(split, assemble_load(mesh, dofmap, bcs, body_force),
+    return reduce_system(split, assemble_load(mesh, dofmap, bcs, body_force),
                          dirichlet_lifting(mesh, dofmap, bcs), dofmap)
 
 
@@ -593,11 +577,3 @@ def check_setup(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditions):
         raise AssemblyError("DofMap and BoundaryConditions disagree on the "
                             "Dirichlet faces")
     check_dirichlet_coverage(mesh, dofmap)
-
-
-def reduce_lifted(full_matrix: sp.csr_matrix | LambdaSplit, full_load: np.ndarray,
-                  lifting: np.ndarray, dofmap: DofMap) -> SparseSystem:
-    """`reduce_system`, once the load and the lifting are found finite."""
-    if not np.isfinite(lifting).all() or not np.isfinite(full_load).all():
-        raise AssemblyError("non-finite value in boundary data or load")
-    return reduce_system(full_matrix, full_load, lifting, dofmap)

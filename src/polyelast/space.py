@@ -508,15 +508,21 @@ def face_bubble_moments(mesh: Mesh, field: Callable, face_ids: np.ndarray,
     return moments.reshape((len(face_ids),) + vertex_values.shape[2:])
 
 
+def _vertex_values(mesh: Mesh, field: Callable, columns: bool = True) -> np.ndarray:
+    """`field` at the mesh vertices: (n, 3), or with `columns` also (n, 3, s)."""
+    values = np.asarray(field(mesh.positions), dtype=float)
+    if values.shape[:2] != (mesh.n_vertices, 3) or (values.ndim > 2 and not columns):
+        raise ValueError("field must map (n,3) points to (n,3) vectors")
+    return values
+
+
 def interpolate(mesh: Mesh, dofmap: DofMap, field: Callable,
                 quad_degree: int = INTERPOLATION_QUAD_DEGREE) -> DiscreteFunction:
     """Interpolate a continuous vector field: vertex DOFs are point values,
     bubble DOFs are face-mean normal-flux corrections.  With bubbles disabled
     the bubble entries are left at zero.  A field with a trailing axis,
     (n, 3, s), gives one interpolant per column: values (N, s)."""
-    vertex_values = np.asarray(field(mesh.positions), dtype=float)
-    if vertex_values.shape[:2] != (mesh.n_vertices, 3):
-        raise ValueError("field must map (n,3) points to (n,3) vectors")
+    vertex_values = _vertex_values(mesh, field)
     tail = vertex_values.shape[2:]
     values = np.zeros((dofmap.vector_size,) + tail)
     values[: dofmap.n_vertex_dofs] = vertex_values.reshape((dofmap.n_vertex_dofs,) + tail)

@@ -110,3 +110,11 @@ def test_only_the_matrix_assembly_walks_the_operator_chunks():
     walkers = sorted(f"{module}:{function}" for module, source in sources.items()
                      for function in callers(source, "operator_chunks"))
     assert walkers == ["assembly.py:assemble_matrix"]
+
+
+def test_only_the_reduction_constructs_a_sparse_system():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in Path(polyelast.__file__).parent.glob("*.py")}
+    constructors = sorted(f"{module}:{function}" for module, source in sources.items()
+                          for function in callers(source, "SparseSystem"))
+    assert constructors == ["assembly.py:reduce_system"]
